@@ -54,17 +54,11 @@ def write_bench_json(path: str, document: dict) -> None:
     sibling temp file and atomically renamed over the target.  Keys are
     sorted so reruns produce byte-stable, diffable records.
 
-    Every record is stamped with the execution environment that decides
-    which engine tier ran -- the active kernel tier (``REPRO_KERNEL``), the
-    numba version (``null`` when not installed) and the core count -- so
-    numbers from the native, fallback and parallel configurations are never
-    compared without their context.
+    Every record is stamped with the machine's core count, so numbers from
+    serial and parallel configurations are never compared without their
+    context.
     """
-    from repro.core import kernels
-
     document = dict(document)
-    document.setdefault("kernel", kernels.active_kernel())
-    document.setdefault("numba_version", kernels.numba_version())
     document.setdefault("cpu_count", os.cpu_count() or 1)
     path = os.path.abspath(path)
     descriptor, staging = tempfile.mkstemp(

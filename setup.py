@@ -38,11 +38,5 @@ setup(
             "pytest-xdist>=3",
             "hypothesis>=6",
         ],
-        # Optional native kernel tier (repro.core.kernels): JIT-compiled
-        # admit-loop kernels.  Never in install_requires -- the pure-NumPy
-        # tier is always available and bit-identical.
-        "kernels": [
-            "numba",
-        ],
     },
 )

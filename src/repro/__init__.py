@@ -53,27 +53,6 @@ from repro.core import get_default_backend, set_default_backend
 from repro.experiments import prepare_dataset, run_algorithms, standard_algorithms
 from repro.simulation import AdoptionSimulator
 
-#: Lazily re-exported names -> defining module.  The sharded solver pulls in
-#: multiprocessing machinery the serial paths never need, so ``import
-#: repro`` must not pay for (or depend on) it; attribute access resolves
-#: and caches the import on first use (PEP 562).
-_LAZY_EXPORTS = {
-    "ShardedGreedySolver": "repro.shard",
-    "ShardWorkerError": "repro.shard",
-    "shard_user_ranges": "repro.shard",
-}
-
-
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
 __version__ = "1.0.0"
 
 __all__ = [
@@ -92,8 +71,6 @@ __all__ = [
     "RevMaxInstance",
     "RevenueModel",
     "SequentialLocalGreedy",
-    "ShardWorkerError",
-    "ShardedGreedySolver",
     "SingleStepExactSolver",
     "Strategy",
     "SubHorizonWrapper",
@@ -112,6 +89,5 @@ __all__ = [
     "run_algorithms",
     "run_pipeline",
     "set_default_backend",
-    "shard_user_ranges",
     "standard_algorithms",
 ]

@@ -78,12 +78,6 @@ class RevMaxAlgorithm(ABC):
     #: :meth:`run` scores the final strategy with the same engine.
     backend: Optional[str] = None
 
-    #: Harness bookkeeping merged into every result's extras on top of the
-    #: solve's own ``last_extras`` (e.g. a degraded parallel-request
-    #: decision recorded by ``standard_algorithms``).  Set as an *instance*
-    #: attribute; the class default stays empty and shared.
-    pinned_extras: Dict[str, object] = {}
-
     @abstractmethod
     def build_strategy(self, instance: RevMaxInstance) -> Strategy:
         """Construct a strategy for the instance (algorithm-specific)."""
@@ -117,6 +111,6 @@ class RevMaxAlgorithm(ABC):
             runtime_seconds=elapsed,
             evaluations=getattr(self, "last_evaluations", 0),
             growth_curve=list(getattr(self, "last_growth_curve", [])),
-            extras={**getattr(self, "last_extras", {}), **self.pinned_extras},
+            extras=dict(getattr(self, "last_extras", {})),
         )
         return result

@@ -24,7 +24,7 @@ sub-horizon at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.constraints import ConstraintChecker
 from repro.core.problem import RevMaxInstance
@@ -52,18 +52,6 @@ class GlobalGreedy(RevMaxAlgorithm):
             compilation (default).  ``False`` forces the per-triple seeding
             loop (the pre-compilation path, kept for the scalability
             benchmarks).
-        shards: partition users into this many contiguous shards and select
-            across worker processes (:mod:`repro.shard`; ``0``: one per
-            core).  ``"auto"`` lets the measured cost model
-            (:mod:`repro.autotune`) pick between per-core sharding and the
-            serial columnar path, recording its decision in
-            ``last_extras["parallel"]``.  Results are bit-identical to the
-            serial run; explicit counts are worth it once instances reach
-            hundreds of thousands of candidate pairs *and* the cores are
-            there.
-        jobs: worker processes for the sharded path (``None``/``"auto"``:
-            one per shard, capped at the core count; ``1``: shards
-            in-process).
     """
 
     name = "G-Greedy"
@@ -72,15 +60,11 @@ class GlobalGreedy(RevMaxAlgorithm):
                  use_two_level_heap: bool = True,
                  ignore_saturation: bool = False,
                  backend: Optional[str] = None,
-                 use_compiled: Optional[bool] = None,
-                 shards: Union[int, str, None] = None,
-                 jobs: Union[int, str, None] = None) -> None:
+                 use_compiled: Optional[bool] = None) -> None:
         self._use_lazy_forward = use_lazy_forward
         self._use_two_level_heap = use_two_level_heap
         self._ignore_saturation = ignore_saturation
         self._use_compiled = use_compiled
-        self._shards = shards
-        self._jobs = jobs
         self.backend = backend
         if ignore_saturation:
             self.name = "GlobalNo"
@@ -128,8 +112,6 @@ class GlobalGreedy(RevMaxAlgorithm):
             seed_priorities=SEED_ISOLATED,
             max_selections=self._max_selections(instance, allowed) + len(strategy),
             use_compiled=self._use_compiled,
-            shards=self._shards,
-            jobs=self._jobs,
         )
         growth_curve: List[Tuple[int, float]] = []
         # candidates=None is the whole ground set; the selector seeds from
@@ -147,11 +129,6 @@ class GlobalGreedy(RevMaxAlgorithm):
             "two_level_heap": self._use_two_level_heap,
             "ignore_saturation": self._ignore_saturation,
         }
-        if self._shards is not None:
-            self.last_extras["shards"] = self._shards
-        decision = selector.last_parallel_decision
-        if decision is not None:
-            self.last_extras["parallel"] = decision.as_dict()
         return strategy
 
     @staticmethod
@@ -231,8 +208,5 @@ class GlobalGreedyNoSaturation(GlobalGreedy):
 
     name = "GlobalNo"
 
-    def __init__(self, backend: Optional[str] = None,
-                 shards: Union[int, str, None] = None,
-                 jobs: Union[int, str, None] = None) -> None:
-        super().__init__(ignore_saturation=True, backend=backend,
-                         shards=shards, jobs=jobs)
+    def __init__(self, backend: Optional[str] = None) -> None:
+        super().__init__(ignore_saturation=True, backend=backend)

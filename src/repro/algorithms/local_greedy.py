@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,18 +135,16 @@ class RandomizedLocalGreedy(RevMaxAlgorithm):
         backend: revenue-engine backend ("numpy" / "python"); ``None`` uses
             the process default.
         jobs: number of worker processes evaluating permutations (``None`` or
-            1: run serially in-process; ``0``: one per core; ``"auto"``:
-            the cost model of :mod:`repro.autotune` decides, degrading to
-            the serial loop on machines where fan-out loses).  Permutations
-            are sampled up front, so the selected strategy is identical for
-            every job count.
+            1: run serially in-process; ``0``: one per core, in-process on a
+            single core).  Permutations are sampled up front, so the
+            selected strategy is identical for every job count.
     """
 
     name = "RL-Greedy"
 
     def __init__(self, num_permutations: int = 20, seed: Optional[int] = 0,
                  backend: Optional[str] = None,
-                 jobs: Union[int, str, None] = None) -> None:
+                 jobs: Optional[int] = None) -> None:
         if num_permutations <= 0:
             raise ValueError("num_permutations must be positive")
         self._num_permutations = num_permutations
@@ -174,15 +172,8 @@ class RandomizedLocalGreedy(RevMaxAlgorithm):
 
     def build_strategy(self, instance: RevMaxInstance) -> Strategy:
         orders = self._sample_permutations(instance.horizon)
-        # Same jobs convention as repro.parallel: None/1 serial, 0 per-core;
-        # "auto" asks the measured cost model and records its decision.
+        # Same jobs convention as repro.parallel: None/1 serial, 0 per-core.
         jobs = self.jobs
-        decision = None
-        if jobs == "auto":
-            from repro import autotune
-
-            decision = autotune.decide_jobs(len(orders), autotune.AUTO)
-            jobs = decision.effective
         if jobs is not None and jobs != 1:
             outcomes, evaluations, lookups = self._run_parallel(
                 instance, orders, jobs
@@ -202,8 +193,6 @@ class RandomizedLocalGreedy(RevMaxAlgorithm):
             "best_order": best[3] if best is not None else (),
             "jobs": default_jobs() if jobs == 0 else (jobs or 1),
         }
-        if decision is not None:
-            self.last_extras["parallel"] = decision.as_dict()
         if best is None:
             self.last_growth_curve = []
             return Strategy(instance.catalog)

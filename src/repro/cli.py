@@ -68,15 +68,13 @@ _SUITE_EXHIBITS = ("table2", "figure1", "figure2", "figure3")
 
 def _make_algorithm(key: str, pipeline, seed: int,
                     backend: Optional[str] = None,
-                    jobs: Optional[int] = None,
-                    shards: Optional[int] = None) -> RevMaxAlgorithm:
+                    jobs: Optional[int] = None) -> RevMaxAlgorithm:
     """Instantiate one algorithm by its CLI key."""
     key = key.lower()
     if key == "gg":
-        return GlobalGreedy(backend=backend, shards=shards, jobs=jobs)
+        return GlobalGreedy(backend=backend)
     if key == "gg-no":
-        return GlobalGreedyNoSaturation(backend=backend, shards=shards,
-                                        jobs=jobs)
+        return GlobalGreedyNoSaturation(backend=backend)
     if key == "slg":
         return SequentialLocalGreedy(backend=backend)
     if key == "rlg":
@@ -89,24 +87,12 @@ def _make_algorithm(key: str, pipeline, seed: int,
     raise ValueError(f"unknown algorithm {key!r}; expected one of {_ALGORITHM_KEYS}")
 
 
-def _parallel_arg(value: str):
-    """Parse a ``--jobs`` / ``--shards`` value: an integer or ``auto``."""
-    if value == "auto":
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
-
-
 def _add_engine_arguments(parser: argparse.ArgumentParser, jobs_help: str) -> None:
     """Attach the revenue-engine knobs shared by every subcommand."""
     parser.add_argument("--backend", choices=BACKENDS, default=None,
                         help="revenue-engine backend (default: numpy, or "
                              "the REPRO_REVENUE_BACKEND environment variable)")
-    parser.add_argument("--jobs", type=_parallel_arg, default="auto", metavar="N",
+    parser.add_argument("--jobs", type=int, default=0, metavar="N",
                         help=jobs_help)
 
 
@@ -127,19 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the result (summary + plan) as JSON")
     solve.add_argument("--save-instance", metavar="PATH", default=None,
                        help="write the solved instance as JSON")
-    solve.add_argument("--shards", type=_parallel_arg, default="auto",
-                       metavar="K",
-                       help="partition users into K shards and run G-Greedy "
-                            "/ GlobalNo across worker processes (0: one per "
-                            "core; default 'auto' lets the measured cost "
-                            "model choose, degrading to the serial path "
-                            "where parallelism loses); results are "
-                            "bit-identical to a serial solve")
     _add_engine_arguments(
         solve,
-        jobs_help="worker processes for RL-Greedy's permutations and for "
-                  "sharded G-Greedy (0: one per core; default 'auto': "
-                  "cost-model decided; other algorithms run in-process)",
+        jobs_help="worker processes for RL-Greedy's permutations (default "
+                  "0: one per core, in-process on a single core; other "
+                  "algorithms run in-process)",
     )
 
     compare = subparsers.add_parser(
@@ -207,22 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _command_solve(args: argparse.Namespace) -> int:
     pipeline = prepare_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    # Explicit parallel requests the cost model predicts will lose are
-    # degraded to the serial path (one warning line); the decision rides
-    # along in the result extras / saved JSON.
-    from repro import autotune
-
-    shards, shards_decision = autotune.override_losing_request(
-        "shards", args.shards
-    )
-    jobs, jobs_decision = autotune.override_losing_request("jobs", args.jobs)
     algorithm = _make_algorithm(args.algorithm, pipeline, args.seed,
-                                backend=args.backend, jobs=jobs,
-                                shards=shards)
-    decision = shards_decision or jobs_decision
-    if decision is not None:
-        algorithm.pinned_extras = {"degraded": True,
-                                   "parallel": decision.as_dict()}
+                                backend=args.backend, jobs=args.jobs)
     result = algorithm.run(pipeline.instance)
     print(result.summary())
     if args.save_instance:
@@ -398,14 +362,6 @@ def _command_info(args: argparse.Namespace) -> int:
          f"{compiled.num_candidate_triples():,}"],
         ["(user, class) groups", f"{compiled.num_groups:,}"],
     ]
-    from repro.core import kernels
-
-    tier = kernels.kernel_info()
-    if tier["numba_available"]:
-        detail = f"numba {tier['numba_version']}"
-    else:
-        detail = "numba not installed; pure-NumPy fallback"
-    rows.append(["kernel tier", f"{tier['kernel']} ({detail})"])
     print(format_table(["statistic", "value"], rows))
     footprint = compiled.memory_footprint()
     total = footprint.pop("total")

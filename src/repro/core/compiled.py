@@ -93,9 +93,8 @@ class CompiledInstance:
         self._validate_shapes()
         self._key_stride = max(1, self.num_items)
         # pair_user and the sorted lookup keys are derivable from the CSR;
-        # they materialize lazily so that attaching to a full instance just
-        # to slice out one shard (the sharded solver's worker startup) never
-        # pays two O(n_pairs) passes over rows it is about to drop.
+        # they materialize lazily, so a load that never looks rows up skips
+        # two O(n_pairs) passes.
         self._pair_user: Optional[np.ndarray] = None
         self._keys: Optional[np.ndarray] = None
         if validate:
@@ -105,17 +104,6 @@ class CompiledInstance:
         # item -> pair rows index (CSC-style), built lazily by the delta
         # layer to patch the isolated-revenue matrix after price updates.
         self._item_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: True on views produced by :meth:`shard`: their row tensors alias
-        #: another compilation's, so in-place mutation is rejected.
-        self._shard_view = False
-        #: Path of the ``.npz`` archive this compilation was loaded from, if
-        #: any.  Lets the sharded solver attach workers by path + shard range
-        #: instead of copying the tensors into shared memory.
-        self.source_path: Optional[str] = None
-        #: Global CSR row of this compilation's local row 0 -- non-zero only
-        #: on views produced by :meth:`shard`, where it lets consumers map
-        #: local rows back to the full instance's row space.
-        self.shard_row_offset: int = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -325,61 +313,11 @@ class CompiledInstance:
             derived._isolated = self._isolated
         # The row-derived tensors depend only on the shared CSR (the item
         # count is fixed by the shape checks), so any materialized caches
-        # carry over -- as does the row space / provenance bookkeeping.
+        # carry over.
         derived._pair_user = self._pair_user
         derived._keys = self._keys
         derived._item_rows = self._item_rows
-        derived._shard_view = self._shard_view
-        derived.source_path = self.source_path
-        derived.shard_row_offset = self.shard_row_offset
         return derived
-
-    def shard(self, user_start: int, user_stop: int) -> "CompiledInstance":
-        """A view of this compilation restricted to one contiguous user range.
-
-        The shard keeps the *global* user-id space (``num_users`` is
-        unchanged) so strategies, display counts and (user, class) groups use
-        the same ids as the full instance; users outside
-        ``[user_start, user_stop)`` simply have no candidate pairs.  The pair
-        tensors are row slices ``user_ptr[user_start] : user_ptr[user_stop]``
-        of the originals -- zero-copy views into whatever backs them (heap
-        arrays, shared memory, or a memory-mapped ``.npz``) -- and the
-        per-item tensors are shared.  Local pair row ``r`` of the shard is
-        global row ``user_ptr[user_start] + r`` (recorded as the view's
-        ``shard_row_offset``), which is how the sharded solver reproduces
-        the serial frontier's tie-breaking.
-        """
-        if not 0 <= user_start <= user_stop <= self.num_users:
-            raise ValueError(
-                f"invalid shard range [{user_start}, {user_stop}) for "
-                f"{self.num_users} users"
-            )
-        row_start = int(self.user_ptr[user_start])
-        row_stop = int(self.user_ptr[user_stop])
-        user_ptr = np.clip(self.user_ptr, row_start, row_stop) - row_start
-        shard = CompiledInstance(
-            num_users=self.num_users,
-            horizon=self.horizon,
-            display_limit=self.display_limit,
-            user_ptr=user_ptr,
-            pair_item=self.pair_item[row_start:row_stop],
-            pair_probs=self.pair_probs[row_start:row_stop],
-            prices=self.prices,
-            capacities=self.capacities,
-            betas=self.betas,
-            item_class=self.item_class,
-            name=f"{self.name}-users{user_start}-{user_stop}",
-            source_version=self.source_version,
-            # Row slices of tensors validated at compile / save time.
-            validate=False,
-        )
-        if self._isolated is not None:
-            shard._isolated = self._isolated[row_start:row_stop]
-        # Accumulate across nested shards so local row r always maps to the
-        # ORIGINAL instance's row space, whatever view it was sliced from.
-        shard.shard_row_offset = self.shard_row_offset + row_start
-        shard._shard_view = True
-        return shard
 
     # ------------------------------------------------------------------
     # in-place deltas (the dynamic re-solve layer)
@@ -461,11 +399,6 @@ class CompiledInstance:
                 pairs absent from the candidate table, malformed vectors, or
                 non-contiguous new-user ids; nothing is applied.
         """
-        if self._shard_view:
-            raise ValueError(
-                "cannot apply a delta to a shard view: its tensors alias "
-                "another compilation; apply the delta to the full instance"
-            )
         if delta.is_empty():
             return
 

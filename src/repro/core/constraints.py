@@ -135,16 +135,6 @@ class ConstraintChecker:
         self._display = DisplayConstraint(instance)
         self._capacity = CapacityConstraint(instance) if enforce_capacity else None
 
-    @property
-    def enforces_capacity(self) -> bool:
-        """True when the capacity constraint gates admissions (REVMAX mode).
-
-        The native kernel tier hard-codes the display-then-capacity gate of
-        the reference :meth:`can_add`; it keys off this flag to stand in
-        only for checkers with exactly those semantics.
-        """
-        return self._capacity is not None
-
     def can_add(self, strategy: Strategy, triple: Triple) -> bool:
         """True if ``strategy + {triple}`` satisfies every hard constraint."""
         if not self._display.can_add(strategy, triple):

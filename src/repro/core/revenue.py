@@ -35,6 +35,7 @@ from repro.core.problem import RevMaxInstance
 from repro.core.strategy import Strategy
 from repro.core.vectorized import (
     resolve_backend,
+    vectorized_extended_group_revenues,
     vectorized_group_revenue,
 )
 
@@ -296,37 +297,6 @@ class RevenueModel:
         self._cache_hits = 0
         self._lookups = 0
 
-    def native_compatible(self) -> bool:
-        """True when the native admit loop can stand in for this model.
-
-        The kernel-tier selection loop (:mod:`repro.core.kernels`) replays
-        the *reference* scoring semantics against compiled tensors,
-        including the cache-history-dependent counter accounting.  That
-        replica is faithful only for an unsubclassed reference model on the
-        numpy backend with a live compilation and the group cache enabled;
-        anything else falls back to the Python loop.
-        """
-        self._refresh_compiled()
-        return (
-            self._reference_semantics
-            and self._backend == "numpy"
-            and self._compiled is not None
-            and self._cache is not None
-        )
-
-    def absorb_counts(self, evaluations: int = 0, cache_hits: int = 0,
-                      lookups: int = 0) -> None:
-        """Fold counters of work done on this model's behalf elsewhere.
-
-        The sharded solver (:mod:`repro.shard`) scores candidates in worker
-        processes, each with its own shard-local model; the coordinator folds
-        their counters back here so ``evaluations`` / ``lookups`` keep
-        meaning "work this solve performed" whether or not it was sharded.
-        """
-        self._evaluations += int(evaluations)
-        self._cache_hits += int(cache_hits)
-        self._lookups += int(lookups)
-
     # ------------------------------------------------------------------
     # group-level primitives (override points)
     # ------------------------------------------------------------------
@@ -509,11 +479,7 @@ class RevenueModel:
             >= VECTORIZE_MIN_GROUP ** 2
         )
         if use_batched_kernel:
-            # Tier-dispatched: the numpy tier is the reference broadcast
-            # kernel, the numba tier its bit-identical njit replica.
-            from repro.core.kernels import batched_extended_revenues
-
-            computed = batched_extended_revenues(
+            computed = vectorized_extended_group_revenues(
                 self._instance, group, pending, self._compiled
             )
         else:

@@ -53,7 +53,7 @@ orchestration on top of this class; the selection mechanics live here.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -144,9 +144,7 @@ def build_columnar_frontier(compiled, strategy: Strategy,
     (submodularity: non-positive seeds can never be admitted), to the
     ``allowed_times`` whitelist (out-of-range times match no candidate,
     exactly like the per-triple path's membership filter), and away from
-    triples already in ``strategy``.  Shared by the serial columnar seeding
-    and the sharded solver's per-shard workers -- the single definition of
-    the seeding rule, so the two paths cannot drift.
+    triples already in ``strategy``.
     """
     priorities = compiled.isolated_revenues()
     seeded = priorities > 0.0
@@ -233,22 +231,9 @@ class LazyGreedySelector:
             with ``candidates=None`` (default).  ``False`` forces the
             per-triple seeding loop -- the pre-compilation engine, kept for
             ablations and the scalability benchmarks.
-        shards: partition users into this many contiguous CSR shards and run
-            the selection across worker processes (:mod:`repro.shard`);
-            ``0`` means one shard per CPU core and ``"auto"`` lets the
-            measured cost model (:mod:`repro.autotune`) choose between
-            per-core sharding and the serial path.  Only the paper-default
-            columnar configuration is sharded (isolated seeds, lazy forward,
-            two-level frontier, numpy backend, whole ground set); anything
-            else, and ``None``/``1``, runs the serial loop.  Sharded and
-            serial selection admit bit-identical triples.
-        jobs: worker processes for the sharded path (default and
-            ``"auto"``: one per shard, capped at the core count; ``1``: all
-            shards in-process).
         trace: optional :class:`SelectionTrace` receiving the run's
             per-user pop sequences (the dynamic re-solve layer's warm
-            state).  A trace forces the serial loop: the sharded
-            coordinator does not record one.
+            state).
     """
 
     def __init__(self, instance: RevMaxInstance, model: RevenueModel,
@@ -260,8 +245,6 @@ class LazyGreedySelector:
                  max_selections: Optional[int] = None,
                  on_admit: Optional[Callable[[Triple, float], None]] = None,
                  use_compiled: Optional[bool] = None,
-                 shards: Union[int, str, None] = None,
-                 jobs: Union[int, str, None] = None,
                  trace: Optional[SelectionTrace] = None,
                  ) -> None:
         if seed_priorities not in (SEED_ISOLATED, SEED_MARGINAL):
@@ -279,12 +262,7 @@ class LazyGreedySelector:
         self._max_selections = max_selections
         self._on_admit = on_admit
         self._use_compiled = use_compiled if use_compiled is not None else True
-        self._shards = shards
-        self._jobs = jobs
         self._trace = trace
-        #: Cost-model decision of the last ``"auto"`` resolution (``None``
-        #: until one happens); experiment extras surface it in records.
-        self.last_parallel_decision = None
 
     # ------------------------------------------------------------------
     # public entry point
@@ -316,14 +294,6 @@ class LazyGreedySelector:
         Returns:
             The number of triples admitted.
         """
-        if candidates is None:
-            shards = self._resolve_shards()
-            if self._sharded_eligible(shards):
-                return self._select_sharded(shards, strategy, allowed_times,
-                                            growth_curve, initial_revenue)
-            if self._kernel_eligible(strategy):
-                return self._select_native(strategy, allowed_times,
-                                           growth_curve, initial_revenue)
         heap, flags, group_keys = self._seed(strategy, candidates,
                                              allowed_times)
         if initial_revenue is None:
@@ -395,132 +365,6 @@ class LazyGreedySelector:
             and self._use_two_level_heap
             and self._model.backend == "numpy"
         )
-
-    def _resolve_shards(self) -> Optional[int]:
-        """Resolve the shards request; ``"auto"`` consults the cost model.
-
-        Auto resolution happens only for configurations that could shard at
-        all -- everywhere else it degrades straight to ``None`` (serial)
-        without probing the machine.  The decision (prediction, effective
-        value, calibration numbers) is kept on
-        :attr:`last_parallel_decision` for experiment records.
-        """
-        shards = self._shards
-        if shards != "auto":
-            return shards
-        if not self._columnar_eligible() or self._trace is not None:
-            return None
-        from repro import autotune
-
-        decision = autotune.decide_shards(
-            self._instance.compiled().pair_user.shape[0], autotune.AUTO
-        )
-        self.last_parallel_decision = decision
-        return decision.effective
-
-    def _sharded_eligible(self, shards: Optional[int]) -> bool:
-        """Sharding covers the columnar configuration with a compatible gain.
-
-        The sharded workers rebuild the selection (and, for GlobalNo, the
-        true) model from shard tensors plus a beta vector; the shared
-        :func:`repro.shard.sharding_compatible` predicate decides whether
-        that reconstruction is faithful -- anything more exotic falls back
-        to the serial loop.
-        """
-        if shards is None or shards == 1 or not self._columnar_eligible():
-            return False
-        if self._trace is not None:
-            # Traces are recorded by the serial admit loop; the sharded
-            # coordinator does not thread them through its workers.
-            return False
-        # Imported lazily, like _select_sharded: the serial path must not
-        # depend on the multiprocessing machinery.
-        from repro.shard import sharding_compatible
-
-        return sharding_compatible(self._instance, self._model,
-                                   self._true_model)
-
-    def _select_sharded(self, shards: int, strategy: Strategy,
-                        allowed_times: Optional[Iterable[int]],
-                        growth_curve: Optional[List[Tuple[int, float]]],
-                        initial_revenue: Optional[float]) -> int:
-        """Run the admit loop across shard workers (:mod:`repro.shard`)."""
-        # Imported lazily: the serial path must not pay for (or depend on)
-        # the multiprocessing machinery.
-        from repro.shard import ShardedGreedySolver
-
-        jobs = None if self._jobs == "auto" else self._jobs
-        solver = ShardedGreedySolver(
-            self._instance, self._model, self._checker,
-            shards=shards, jobs=jobs,
-            true_model=self._true_model,
-            max_selections=self._max_selections,
-            on_admit=self._on_admit,
-        )
-        return solver.select(strategy, allowed_times,
-                             growth_curve=growth_curve,
-                             initial_revenue=initial_revenue)
-
-    def _kernel_eligible(self, strategy: Strategy) -> bool:
-        """The native (JIT) admit loop covers cold paper-default solves.
-
-        Beyond columnar eligibility it needs: the numba tier active, a
-        reference model with a live compilation (the kernel replays its
-        scoring *and counter* semantics bit-for-bit), the stock
-        display-then-capacity constraint checker, an empty starting
-        strategy (the kernel seeds from isolated revenues alone), no trace
-        recording and no separate true model.  Anything else runs the
-        Python loop over the columnar frontier.
-        """
-        if not self._columnar_eligible():
-            return False
-        if self._trace is not None or self._true_model is not None:
-            return False
-        if len(strategy) != 0:
-            return False
-        if type(self._checker) is not ConstraintChecker:
-            return False
-        if not self._checker.enforces_capacity:
-            return False
-        from repro.core import kernels
-
-        return kernels.native_enabled() and self._model.native_compatible()
-
-    def _select_native(self, strategy: Strategy,
-                       allowed_times: Optional[Iterable[int]],
-                       growth_curve: Optional[List[Tuple[int, float]]],
-                       initial_revenue: Optional[float]) -> int:
-        """Run the JIT-compiled admit loop and replay its admissions.
-
-        The kernel returns the admitted ``(row, t, gain)`` sequence in
-        admission order plus the counter totals the reference loop would
-        have accumulated; this wrapper replays them through the exact side
-        effects of the serial loop (strategy adds, growth-curve points,
-        ``on_admit`` callbacks, model counters), so callers cannot tell the
-        tiers apart except by wall clock.
-        """
-        from repro.core import kernels
-
-        compiled = self._instance.compiled()
-        rows, ts, gains, counters = kernels.native_select(
-            compiled, allowed_times=allowed_times,
-            max_selections=self._max_selections,
-        )
-        if initial_revenue is None:
-            initial_revenue = growth_curve[-1][1] if growth_curve else 0.0
-        revenue = initial_revenue
-        pair_user = compiled.pair_user
-        pair_item = compiled.pair_item
-        for row, t, gain in zip(rows.tolist(), ts.tolist(), gains.tolist()):
-            triple = Triple(int(pair_user[row]), int(pair_item[row]), int(t))
-            strategy.add(triple)
-            revenue += gain
-            if growth_curve is not None:
-                growth_curve.append((len(strategy), revenue))
-            if self._on_admit is not None:
-                self._on_admit(triple, gain)
-        self._model.absorb_counts(**counters)
-        return int(rows.shape[0])
 
     def _seed(self, strategy: Strategy,
               candidates: Optional[Iterable[Triple]],

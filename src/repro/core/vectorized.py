@@ -173,10 +173,10 @@ def _ordered_dot(prices: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
 
     ``prices @ probabilities`` delegates to BLAS, whose accumulation order is
     implementation-defined and varies with backend and vector length.  The
-    kernel tier (:mod:`repro.core.kernels`) must reproduce every reduction bit
-    for bit, so revenue dots go through ``np.add.reduce`` over the elementwise
-    product instead: that is NumPy's pairwise summation, a deterministic tree
-    the native kernels replicate exactly.
+    golden fixtures (``tests/golden/``) pin revenues computed in this order,
+    so revenue dots go through ``np.add.reduce`` over the elementwise product
+    instead: NumPy's pairwise summation, a deterministic tree that keeps
+    those floats reproducible bit for bit.
     """
     return np.add.reduce(prices * probabilities, axis=-1)
 

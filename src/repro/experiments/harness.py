@@ -18,7 +18,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algorithms.base import AlgorithmResult, RevMaxAlgorithm
 from repro.algorithms.baselines import TopRatingBaseline, TopRevenueBaseline
@@ -169,8 +169,7 @@ def standard_algorithms(
     include: Optional[Sequence[str]] = None,
     seed: int = 0,
     backend: Optional[str] = None,
-    rl_jobs: Union[int, str, None] = None,
-    gg_shards: Union[int, str, None] = None,
+    rl_jobs: Optional[int] = None,
 ) -> List[RevMaxAlgorithm]:
     """Build the six-algorithm suite the paper's figures compare.
 
@@ -184,48 +183,19 @@ def standard_algorithms(
             "python"; ``None`` uses the process default).  Handy for
             benchmarking the engines against each other on identical suites.
         rl_jobs: worker processes for RL-Greedy's permutation fan-out
-            (``None``: serial; ``"auto"``: the cost model of
-            :mod:`repro.autotune` decides).  Leave unset when the whole
-            suite already runs under ``run_algorithms(jobs=...)`` --
+            (``None``: serial; ``0``: one per core).  Leave unset when the
+            whole suite already runs under ``run_algorithms(jobs=...)`` --
             nesting pools wins nothing.
-        gg_shards: user shards for G-Greedy / GlobalNo's sharded selection
-            (:mod:`repro.shard`; ``None``: serial, ``0``: one per core,
-            ``"auto"``: cost-model decided).  Bit-identical results either
-            way; the same nesting caveat as ``rl_jobs`` applies.
-
-    Explicit parallel requests the cost model predicts will lose (fewer
-    than two cores) are overridden to the serial path with a one-line
-    warning; the decision is pinned into the affected algorithms' result
-    extras, and :func:`experiment_records` surfaces it as
-    ``settings["degraded"]``.
     """
-    # Imported lazily: building a suite must not pay for the machinery
-    # unless a parallel knob is actually set.
-    if rl_jobs is not None or gg_shards is not None:
-        from repro import autotune
-
-        rl_jobs, rl_decision = autotune.override_losing_request("jobs", rl_jobs)
-        gg_shards, gg_decision = autotune.override_losing_request(
-            "shards", gg_shards
-        )
-    else:
-        rl_decision = gg_decision = None
     suite: Dict[str, RevMaxAlgorithm] = {
-        "GG": GlobalGreedy(backend=backend, shards=gg_shards),
-        "GG-No": GlobalGreedyNoSaturation(backend=backend, shards=gg_shards),
+        "GG": GlobalGreedy(backend=backend),
+        "GG-No": GlobalGreedyNoSaturation(backend=backend),
         "RLG": RandomizedLocalGreedy(num_permutations=rl_permutations, seed=seed,
                                      backend=backend, jobs=rl_jobs),
         "SLG": SequentialLocalGreedy(backend=backend),
         "TopRev": TopRevenueBaseline(),
         "TopRat": TopRatingBaseline(predicted_ratings),
     }
-    if gg_decision is not None:
-        for key in ("GG", "GG-No"):
-            suite[key].pinned_extras = {"degraded": True,
-                                        "parallel": gg_decision.as_dict()}
-    if rl_decision is not None:
-        suite["RLG"].pinned_extras = {"degraded": True,
-                                      "parallel": rl_decision.as_dict()}
     if include is None:
         return list(suite.values())
     unknown = [key for key in include if key not in suite]
@@ -249,7 +219,7 @@ class ExperimentRecord:
 def run_algorithms(instance: RevMaxInstance,
                    algorithms: Iterable[RevMaxAlgorithm],
                    settings: Optional[Dict[str, object]] = None,
-                   jobs: Union[int, str, None] = None,
+                   jobs: Optional[int] = None,
                    ) -> Dict[str, AlgorithmResult]:
     """Run every algorithm on the instance and return results keyed by name.
 
@@ -259,16 +229,10 @@ def run_algorithms(instance: RevMaxInstance,
         settings: optional experiment settings merged into every result's
             extras (capacity distribution, beta, ... -- figure bookkeeping).
         jobs: worker processes (``None``/1: serial in-process; ``0``: one
-            per core; ``"auto"``: the cost model of :mod:`repro.autotune`
-            decides, running in-process where fan-out loses).  Parallel
-            runs return bit-identical revenues and strategies; see
+            per core, in-process on a single core).  Parallel runs return
+            bit-identical revenues and strategies; see
             :mod:`repro.experiments.parallel`.
     """
-    if jobs == "auto":
-        from repro import autotune
-
-        algorithms = list(algorithms)
-        jobs = autotune.decide_jobs(len(algorithms), autotune.AUTO).effective
     if jobs is not None and jobs != 1:
         # Imported lazily: the parallel runner is optional infrastructure
         # and pulls in multiprocessing machinery the serial path never needs.
@@ -291,23 +255,16 @@ def experiment_records(results: Mapping[str, AlgorithmResult],
 
     Serial and parallel runs flow through the same conversion, so a
     ``jobs=4`` suite merges into records identical (runtimes aside) to a
-    ``jobs=1`` suite.  Solves whose explicit parallel request was degraded
-    by the cost model carry ``settings["degraded"] = True`` plus the
-    decision record, so downstream analysis can tell overridden runs apart.
+    ``jobs=1`` suite.
     """
-    records = []
-    for result in results.values():
-        row_settings = dict(settings or {})
-        if result.extras.get("degraded"):
-            row_settings["degraded"] = True
-            if "parallel" in result.extras:
-                row_settings["parallel"] = result.extras["parallel"]
-        records.append(ExperimentRecord(
+    return [
+        ExperimentRecord(
             instance_name=result.instance_name,
             algorithm=result.algorithm,
             revenue=result.revenue,
             runtime_seconds=result.runtime_seconds,
             strategy_size=result.strategy_size,
-            settings=row_settings,
-        ))
-    return records
+            settings=dict(settings or {}),
+        )
+        for result in results.values()
+    ]

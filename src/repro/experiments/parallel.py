@@ -131,9 +131,6 @@ def run_permutations_parallel(
         jobs=jobs,
         initializer=_init_permutation_worker,
         initargs=(instance, backend, get_default_backend()),
-        # Figure sweeps call this once per (instance, point); the persistent
-        # pool pays worker startup once per run instead of once per call.
-        reuse=True,
     )
 
 

@@ -108,24 +108,13 @@ class ColumnarFrontier:
     # ------------------------------------------------------------------
     def peek(self) -> Tuple[Triple, float]:
         """Return the globally best ``(triple, priority)`` without removal."""
-        triple, priority, _ = self.peek_with_row()
-        return triple, priority
-
-    def peek_with_row(self) -> Tuple[Triple, float, int]:
-        """Like :meth:`peek`, also returning the winning pair row.
-
-        The row index is what the sharded solver offsets into the *global*
-        CSR row to break priority ties across shards exactly like the serial
-        frontier's upper heap does.
-        """
         heap = self._heap
         while heap:
             negative, row = heap[0]
             if self._best[row] != -negative:
                 heapq.heappop(heap)
                 continue
-            key, priority = self._lower_for(row).peek()
-            return key, priority, row
+            return self._lower_for(row).peek()
         raise IndexError("peek from an empty columnar frontier")
 
     def pop(self) -> Tuple[Triple, float]:

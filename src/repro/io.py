@@ -54,7 +54,6 @@ __all__ = [
     "save_instance_npz",
     "load_instance_npz",
     "load_compiled_npz",
-    "attach_instance_shard",
     "strategy_to_dict",
     "strategy_from_dict",
     "save_strategy",
@@ -238,9 +237,8 @@ def _load_npz_arrays(path: Path, mmap: bool) -> Dict[str, np.ndarray]:
     return arrays
 
 
-def _compiled_from_arrays(arrays: Dict[str, np.ndarray],
-                          path: Path) -> CompiledInstance:
-    compiled = CompiledInstance(
+def _compiled_from_arrays(arrays: Dict[str, np.ndarray]) -> CompiledInstance:
+    return CompiledInstance(
         num_users=int(arrays["num_users"]),
         horizon=int(arrays["horizon"]),
         display_limit=int(arrays["display_limit"]),
@@ -256,34 +254,15 @@ def _compiled_from_arrays(arrays: Dict[str, np.ndarray],
         # defeat the lazy memory mapping.
         validate=False,
     )
-    compiled.source_path = str(path)
-    return compiled
 
 
 def load_compiled_npz(path: _PathLike, mmap: bool = True) -> CompiledInstance:
     """Read the bare :class:`CompiledInstance` out of a ``.npz`` archive.
 
     The tensors are memory-mapped by default, so this costs a few page
-    faults regardless of the archive size; ``source_path`` is recorded on
-    the compilation so downstream consumers (the sharded solver's workers)
-    can re-attach by path instead of shipping tensors around.
+    faults regardless of the archive size.
     """
-    path = Path(path)
-    return _compiled_from_arrays(_load_npz_arrays(path, mmap), path)
-
-
-def attach_instance_shard(path: _PathLike, user_start: int,
-                          user_stop: int) -> CompiledInstance:
-    """Attach to one user shard of a saved instance, by path + range.
-
-    This is the worker-process entry point of the sharded solver's ``.npz``
-    backing: the archive is memory-mapped (never deserialized wholesale) and
-    the returned compilation holds zero-copy row slices covering users
-    ``[user_start, user_stop)`` -- reading a shard of a multi-gigabyte
-    instance pages in only that shard's rows.  User ids stay global; see
-    :meth:`repro.core.compiled.CompiledInstance.shard`.
-    """
-    return load_compiled_npz(path, mmap=True).shard(user_start, user_stop)
+    return _compiled_from_arrays(_load_npz_arrays(Path(path), mmap))
 
 
 def load_instance_npz(path: _PathLike, mmap: bool = True) -> RevMaxInstance:
@@ -300,7 +279,7 @@ def load_instance_npz(path: _PathLike, mmap: bool = True) -> RevMaxInstance:
     """
     path = Path(path)
     arrays = _load_npz_arrays(path, mmap)
-    compiled = _compiled_from_arrays(arrays, path)
+    compiled = _compiled_from_arrays(arrays)
     class_names = {
         int(k): v
         for k, v in json.loads(str(arrays.get("class_names_json", "{}"))).items()

@@ -13,35 +13,22 @@ follows:
   used, so workers inherit ``sys.path`` and module state (the repo's
   ``src``-layout import shim keeps working without installation);
 * **in-process fallback**: ``jobs <= 1`` (or a single item) runs the plain
-  loop, keeping the parallel code path trivially debuggable.
+  loop, keeping the parallel code path trivially debuggable.  ``jobs=0``
+  means one worker per core, so it too runs in-process on a single core.
 
 Heavy shared inputs (a :class:`~repro.core.problem.RevMaxInstance`, say)
 should travel once per worker through ``initializer`` / ``initargs`` rather
 than once per item through the mapped function's arguments.
-
-``parallel_map(..., reuse=True)`` routes the call through a lazily created
-:class:`PersistentPool` that survives across calls: repeated fan-outs in one
-experiment run (RL-Greedy re-solving per figure point, say) pay process
-startup once instead of once per call.  The initializer is re-broadcast to
-every worker on each call, so per-call state (a new instance) still arrives
-exactly once per worker.
 """
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
 
-__all__ = [
-    "PersistentPool",
-    "default_jobs",
-    "parallel_map",
-    "pool_context",
-    "shutdown_persistent_pools",
-]
+__all__ = ["default_jobs", "parallel_map", "pool_context"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -53,170 +40,11 @@ def default_jobs() -> int:
 
 
 def pool_context():
-    """Prefer ``fork`` (inherits sys.path / loaded modules) when available.
-
-    Shared by every multi-process path in the repo -- the experiment runners
-    below and the sharded solver's persistent workers
-    (:mod:`repro.shard`) -- so they all follow the same fork-first policy.
-    """
+    """Prefer ``fork`` (inherits sys.path / loaded modules) when available."""
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-#: Backwards-compatible private alias (pre-shard-solver name).
-_pool_context = pool_context
-
-
-def _persistent_worker(connection) -> None:  # pragma: no cover - subprocess
-    """Loop of one persistent-pool worker: init / map / stop messages."""
-    while True:
-        try:
-            message = connection.recv()
-        except EOFError:
-            return
-        kind = message[0]
-        if kind == "init":
-            _, initializer, initargs = message
-            try:
-                if initializer is not None:
-                    initializer(*initargs)
-                connection.send(("ok", None))
-            except BaseException as error:  # noqa: BLE001 - relayed to parent
-                connection.send(("err", error))
-        elif kind == "map":
-            _, function, indexed_items = message
-            results = []
-            for index, item in indexed_items:
-                try:
-                    results.append((index, "ok", function(item)))
-                except BaseException as error:  # noqa: BLE001 - relayed
-                    results.append((index, "err", error))
-            connection.send(results)
-        else:  # "stop"
-            connection.close()
-            return
-
-
-class PersistentPool:
-    """A process pool that outlives individual map calls.
-
-    Unlike :class:`~concurrent.futures.ProcessPoolExecutor`, whose
-    initializer runs only at worker startup, :meth:`map` re-broadcasts the
-    initializer to every worker on each call -- so per-call shared state
-    (the current instance) is shipped once per worker, while the processes
-    themselves are spawned exactly once and amortized across every fan-out
-    of an experiment run.
-    """
-
-    def __init__(self, workers: int) -> None:
-        context = pool_context()
-        self._workers = []
-        for _ in range(int(workers)):
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=_persistent_worker, args=(child_end,), daemon=True
-            )
-            process.start()
-            child_end.close()
-            self._workers.append((process, parent_end))
-
-    def __len__(self) -> int:
-        return len(self._workers)
-
-    def alive(self) -> bool:
-        """True while every worker process is still running."""
-        return bool(self._workers) and all(
-            process.is_alive() for process, _ in self._workers
-        )
-
-    def map(
-        self,
-        function: Callable[[_T], _R],
-        items: List[_T],
-        *,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple = (),
-    ) -> List[_R]:
-        """Order-preserving map with a per-call initializer broadcast."""
-        if initializer is not None:
-            for _, connection in self._workers:
-                connection.send(("init", initializer, initargs))
-            for _, connection in self._workers:
-                status, error = connection.recv()
-                if status == "err":
-                    raise error
-        # Round-robin blocks, one message per worker; indices carried with
-        # the items make reassembly order-preserving regardless.
-        indexed = list(enumerate(items))
-        active = [
-            (process, connection)
-            for slot, (process, connection) in enumerate(self._workers)
-            if slot < len(indexed)
-        ]
-        blocks = [indexed[slot::len(active)] for slot in range(len(active))]
-        for (_, connection), block in zip(active, blocks):
-            connection.send(("map", function, block))
-        results: List[Optional[_R]] = [None] * len(indexed)
-        first_error: Optional[BaseException] = None
-        for (_, connection), _block in zip(active, blocks):
-            try:
-                rows = connection.recv()
-            except (EOFError, OSError) as error:
-                # A dead worker poisons the whole pool: tear it down so the
-                # next reuse=True call builds a fresh one.
-                self.shutdown()
-                raise RuntimeError(
-                    "persistent-pool worker died mid-map; the pool has "
-                    "been discarded"
-                ) from error
-            for index, status, value in rows:
-                if status == "err":
-                    first_error = first_error or value
-                else:
-                    results[index] = value
-        if first_error is not None:
-            raise first_error
-        return results  # type: ignore[return-value]
-
-    def shutdown(self) -> None:
-        """Stop and join every worker (idempotent)."""
-        for _, connection in self._workers:
-            try:
-                connection.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for process, connection in self._workers:
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=5)
-            connection.close()
-        self._workers = []
-
-
-#: Lazily created persistent pools, keyed by worker count.
-_persistent_pools: Dict[int, PersistentPool] = {}
-
-
-def _persistent_pool(workers: int) -> PersistentPool:
-    pool = _persistent_pools.get(workers)
-    if pool is not None and not pool.alive():
-        pool.shutdown()
-        pool = None
-    if pool is None:
-        pool = PersistentPool(workers)
-        _persistent_pools[workers] = pool
-    return pool
-
-
-@atexit.register
-def shutdown_persistent_pools() -> None:
-    """Tear down every cached :class:`PersistentPool` (atexit + tests)."""
-    for pool in list(_persistent_pools.values()):
-        pool.shutdown()
-    _persistent_pools.clear()
 
 
 def parallel_map(
@@ -227,7 +55,6 @@ def parallel_map(
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple = (),
     chunksize: int = 1,
-    reuse: bool = False,
 ) -> List[_R]:
     """Map ``function`` over ``items`` across worker processes, in order.
 
@@ -241,10 +68,6 @@ def parallel_map(
             finds the same state either way.
         initargs: arguments for ``initializer``.
         chunksize: items handed to a worker per dispatch.
-        reuse: route through the cached :class:`PersistentPool` for this
-            worker count, amortizing process startup across calls.  The
-            initializer is re-broadcast on every call, so results are
-            identical to a fresh pool.
 
     Returns:
         ``[function(item) for item in items]``, in item order.
@@ -257,13 +80,9 @@ def parallel_map(
             initializer(*initargs)
         return [function(item) for item in items]
     workers = min(jobs, len(items))
-    if reuse:
-        pool = _persistent_pool(workers)
-        return pool.map(function, items,
-                        initializer=initializer, initargs=initargs)
     with ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=_pool_context(),
+        mp_context=pool_context(),
         initializer=initializer,
         initargs=initargs,
     ) as pool:

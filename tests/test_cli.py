@@ -35,9 +35,8 @@ class TestParser:
             assert args.jobs == 4
             defaults = parser.parse_args(argv)
             assert defaults.backend is None
-            # The cost model decides by default; it degrades to serial
-            # wherever parallelism would lose (repro.autotune).
-            assert defaults.jobs == "auto"
+            # One worker per core by default (in-process on one core).
+            assert defaults.jobs == 0
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(SystemExit):

@@ -1,25 +1,19 @@
 """Differential fuzzing: every G-Greedy engine must agree, triple for triple.
 
-The repo now carries four independent executions of Algorithm 1:
+The repo carries three independent executions of Algorithm 1:
 
 * the **object path** (dict-backed adoption table, per-triple seeding --
   the pre-compilation engine, kept as the executable specification);
 * the **columnar path** (compiled tensors, bulk-seeded lazy frontier);
-* the **sharded path** (user-partitioned workers, ``shards=2, jobs=2`` --
-  real subprocesses plus the coordinator protocol);
 * the **incremental path** (cold solve, then a re-solve after an *empty*
-  delta, which must replay to the identical strategy);
-* the **kernel tier** (``REPRO_KERNEL`` axis): the columnar solve under
-  the forced ``numpy`` tier and under the native dispatch
-  (:mod:`repro.core.kernels` -- JIT-compiled where numba is installed,
-  the interpreted twin of the same source everywhere else).
+  delta, which must replay to the identical strategy).
 
 Each optimisation layer was introduced with its own equivalence tests;
 this suite closes the loop with property-based fuzzing over adversarial
 tiny instances -- degenerate capacities (including zero), beta at the
 0/1 extremes, probability vectors with exact zeros and ones, single-user
 and single-item corners, duplicate prices that force tie-breaking -- and
-asserts all four engines admit **the same triples with the same revenue
+asserts all three engines admit **the same triples with the same revenue
 growth curves**.
 
 A second property fuzzes the *dynamic* layer: a random
@@ -44,15 +38,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from repro.algorithms.global_greedy import GlobalGreedy  # noqa: E402
-from repro.core import kernels  # noqa: E402
-from repro.core.kernels import impl  # noqa: E402
 from repro.core.problem import RevMaxInstance  # noqa: E402
 from repro.dynamic import (  # noqa: E402
     IncrementalSolver,
     InstanceDelta,
     apply_delta,
 )
-from test_kernels import interpreted_native  # noqa: E402
 
 _probability = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 _price = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -165,12 +156,11 @@ def solve_signature(instance, **kwargs):
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
 @given(data=instance_data())
 def test_all_engines_agree(data):
-    """Object, columnar, sharded (jobs=2) and incremental-after-empty-delta
-    G-Greedy admit identical triples with identical growth curves."""
+    """Object, columnar and incremental-after-empty-delta G-Greedy admit
+    identical triples with identical growth curves."""
     instance = build(data)
     object_path = solve_signature(instance, use_compiled=False)
     columnar = solve_signature(instance)
-    sharded = solve_signature(instance, shards=2, jobs=2)
 
     solver = IncrementalSolver(build(data))
     solver.solve()
@@ -179,7 +169,6 @@ def test_all_engines_agree(data):
                              solver.growth_curve)
 
     assert columnar == object_path
-    assert sharded == object_path
     assert incremental_signature == object_path
 
 
@@ -201,63 +190,3 @@ def test_incremental_resolve_agrees_with_cold(payload):
     assert sorted(repaired.triples()) == reference
     assert solver.growth_curve == curve
 
-
-@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
-@given(data=instance_data())
-def test_kernel_tiers_agree(data):
-    """The columnar solve admits identical triples and growth curves under
-    the forced ``numpy`` tier and under the native kernel dispatch (the JIT
-    twin where numba is installed, the interpreted twin elsewhere)."""
-    instance = build(data)
-    with kernels.forced_kernel("numpy"):
-        numpy_tier = solve_signature(instance)
-    if kernels.NUMBA_AVAILABLE:
-        with kernels.forced_kernel("numba"):
-            native_tier = solve_signature(instance)
-    else:
-        with interpreted_native():
-            native_tier = solve_signature(instance)
-    assert native_tier == numpy_tier
-
-
-def _native_modules():
-    """The kernel modules under test: interpreted always, JIT when present."""
-    modules = [("interpreted", impl)]
-    if kernels.NUMBA_AVAILABLE:
-        modules.append(("numba", kernels.jit_module()))
-    return modules
-
-
-@settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
-@given(
-    entries=st.lists(
-        st.tuples(
-            st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 1e-9, 1e9]),
-            st.integers(0, 63),
-        ),
-        max_size=40,
-    )
-)
-def test_frontier_pop_order_matches_reference(entries):
-    """Every kernel backend pops fuzzed frontiers in exact ``(-priority,
-    CSR row)`` order -- the tie-break that makes admissions reproducible.
-
-    Duplicate priorities are the adversarial case (synthetic instances
-    produce them through shared prices), and duplicate rows model a row
-    re-pushed after a lazy refresh: observationally identical entries, so
-    the reference order is the stable sort of the multiset.
-    """
-    reference = sorted(entries, key=lambda entry: (-entry[0], entry[1]))
-    for label, module in _native_modules():
-        heap_pri = np.empty(4, dtype=np.float64)
-        heap_row = np.empty(4, dtype=np.int64)
-        size = 0
-        for priority, row in entries:
-            heap_pri, heap_row, size = module.heap_push(
-                heap_pri, heap_row, size, priority, row
-            )
-        popped = []
-        while size > 0:
-            popped.append((float(heap_pri[0]), int(heap_row[0])))
-            size = module.heap_pop(heap_pri, heap_row, size)
-        assert popped == reference, label

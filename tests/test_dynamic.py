@@ -232,12 +232,6 @@ class TestApplyDelta:
         np.testing.assert_array_equal(compiled.pair_probs, probs_before)
         np.testing.assert_array_equal(compiled.prices, prices_before)
 
-    def test_shard_view_rejected(self):
-        compiled = build_random_instance(seed=2).compiled()
-        shard = compiled.shard(0, 2)
-        with pytest.raises(ValueError, match="shard view"):
-            shard.apply_delta(InstanceDelta(price_updates={(0, 0): 1.0}))
-
     def test_npz_memory_mapped_instance_copy_on_write(self, tmp_path):
         """Deltas work on read-only memory-mapped tensors (copy-on-write)."""
         source = build_random_instance(seed=21)

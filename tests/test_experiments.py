@@ -236,60 +236,3 @@ class TestFigures:
         assert data["t3_local_search_revenue"] >= 0
         assert "Exact Max-DCS" in result.text
 
-
-class TestDegradedParallelRecording:
-    """Satellite of the auto-parallelism work: explicit losing requests are
-    overridden with one warning and surface ``degraded`` in records."""
-
-    def test_explicit_losing_request_recorded(self, tiny_amazon_pipeline):
-        import os
-        import warnings
-
-        from repro.experiments.harness import experiment_records
-
-        instance = tiny_amazon_pipeline.instance
-        if (os.cpu_count() or 1) < 2:
-            with pytest.warns(RuntimeWarning, match="cannot win on 1 core"):
-                suite = standard_algorithms(rl_permutations=2,
-                                            gg_shards=2, rl_jobs=2)
-            records = experiment_records(
-                run_algorithms(instance, suite), {"scale": "tiny"}
-            )
-            by_name = {record.algorithm: record for record in records}
-            for name in ("G-Greedy", "GlobalNo", "RL-Greedy"):
-                assert by_name[name].settings["degraded"] is True
-                parallel = by_name[name].settings["parallel"]
-                assert parallel["degraded"] is True
-                assert parallel["effective"] is None
-                assert parallel["cost_model"]["cpu_count"] == 1
-            # Untouched algorithms carry no degraded marker.
-            assert "degraded" not in by_name["SL-Greedy"].settings
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                suite = standard_algorithms(rl_permutations=2,
-                                            gg_shards=2, rl_jobs=2)
-            records = experiment_records(run_algorithms(instance, suite))
-            assert all("degraded" not in record.settings
-                       for record in records)
-
-    def test_auto_requests_never_warn_or_degrade(self, tiny_amazon_pipeline):
-        import warnings
-
-        from repro.experiments.harness import experiment_records
-
-        instance = tiny_amazon_pipeline.instance
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            suite = standard_algorithms(rl_permutations=2,
-                                        gg_shards="auto", rl_jobs="auto")
-        serial = run_algorithms(
-            instance, standard_algorithms(rl_permutations=2)
-        )
-        auto = run_algorithms(instance, suite)
-        for name in serial:
-            assert auto[name].revenue == serial[name].revenue
-            assert (auto[name].strategy.triples()
-                    == serial[name].strategy.triples())
-        assert all("degraded" not in record.settings
-                   for record in experiment_records(auto))

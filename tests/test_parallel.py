@@ -22,12 +22,7 @@ from repro.experiments.harness import (
     standard_algorithms,
 )
 from repro.experiments.parallel import run_permutations_parallel
-from repro.parallel import (
-    PersistentPool,
-    parallel_map,
-    shutdown_persistent_pools,
-)
-from repro import parallel as parallel_module
+from repro.parallel import parallel_map
 
 
 def _square(value):
@@ -45,16 +40,8 @@ def _offset_square(value):
     return value * value + _STATE["offset"]
 
 
-def _boom(value):
-    if value == 3:
-        raise ValueError(f"boom on {value}")
-    return value * value
-
-
-def _die(value):
-    if value == 2:
-        os._exit(9)
-    return value * value
+def _pid(_value):
+    return os.getpid()
 
 
 class TestParallelMap:
@@ -82,80 +69,38 @@ class TestParallelMap:
         assert parallel_map(_square, [], jobs=4) == []
 
 
-class TestPersistentPool:
-    """The reuse=True pool: one spawn amortized across many fan-outs."""
+class TestSingleCore:
+    """``jobs=0`` means one worker per core: on one core it stays in-process."""
 
-    def teardown_method(self):
-        shutdown_persistent_pools()
+    @pytest.fixture(autouse=True)
+    def _one_core(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
-    def test_reuse_matches_fresh_pool_and_caches_workers(self):
-        items = list(range(10))
-        expected = [i * i for i in items]
-        assert parallel_map(_square, items, jobs=2, reuse=True) == expected
-        pool = parallel_module._persistent_pools[2]
-        assert pool.alive() and len(pool) == 2
-        # The second call reuses the very same worker processes.
-        assert parallel_map(_square, items, jobs=2, reuse=True) == expected
-        assert parallel_module._persistent_pools[2] is pool
+    def test_parallel_map_runs_in_process(self):
+        assert parallel_map(_pid, [1, 2, 3], jobs=0) == [os.getpid()] * 3
 
-    def test_initializer_rebroadcast_each_call(self):
-        items = [1, 2, 3, 4]
-        first = parallel_map(_offset_square, items, jobs=2, reuse=True,
-                             initializer=_setup, initargs=(10,))
-        assert first == [i * i + 10 for i in items]
-        # Same pool, new per-call state: the old offset must not leak.
-        second = parallel_map(_offset_square, items, jobs=2, reuse=True,
-                              initializer=_setup, initargs=(-5,))
-        assert second == [i * i - 5 for i in items]
-
-    def test_task_error_propagates_but_pool_survives(self):
-        with pytest.raises(ValueError, match="boom on 3"):
-            parallel_map(_boom, [1, 2, 3, 4], jobs=2, reuse=True)
-        pool = parallel_module._persistent_pools[2]
-        assert pool.alive()
-        assert parallel_map(_square, [5, 6], jobs=2, reuse=True) == [25, 36]
-        assert parallel_module._persistent_pools[2] is pool
-
-    def test_dead_worker_discards_pool_and_next_call_rebuilds(self):
-        assert parallel_map(_square, [1, 2], jobs=2, reuse=True) == [1, 4]
-        doomed = parallel_module._persistent_pools[2]
-        with pytest.raises(RuntimeError, match="worker died mid-map"):
-            parallel_map(_die, [1, 2], jobs=2, reuse=True)
-        assert not doomed.alive()
-        # The poisoned pool was torn down; reuse transparently rebuilds.
-        assert parallel_map(_square, [7, 8], jobs=2, reuse=True) == [49, 64]
-        assert parallel_module._persistent_pools[2] is not doomed
-
-    def test_more_workers_than_items(self):
-        pool = PersistentPool(4)
-        try:
-            assert pool.map(_square, [3]) == [9]
-            assert pool.map(_square, list(range(9))) == [
-                i * i for i in range(9)
-            ]
-        finally:
-            pool.shutdown()
-        assert not pool.alive()
-
-    def test_shutdown_is_idempotent(self):
-        parallel_map(_square, [1, 2], jobs=2, reuse=True)
-        shutdown_persistent_pools()
-        assert parallel_module._persistent_pools == {}
-        shutdown_persistent_pools()  # second call is a no-op
-
-    def test_permutation_runs_identical_across_pool_reuse(
-            self, tiny_amazon_pipeline):
-        # run_permutations_parallel routes through the persistent pool;
-        # back-to-back calls (pool cold, then warm) must agree exactly.
+    def test_rl_greedy_jobs_zero_matches_serial(self, tiny_amazon_pipeline):
         instance = tiny_amazon_pipeline.instance
-        algorithm = RandomizedLocalGreedy(num_permutations=3, seed=5)
-        orders = algorithm._sample_permutations(instance.horizon)
-        cold = run_permutations_parallel(instance, orders, jobs=2)
-        warm = run_permutations_parallel(instance, orders, jobs=2)
-        serial = run_permutations_parallel(instance, orders, jobs=1)
-        for cold_run, warm_run, serial_run in zip(cold, warm, serial):
-            assert cold_run.revenue == warm_run.revenue == serial_run.revenue
-            assert cold_run.triples == warm_run.triples == serial_run.triples
+        per_core = RandomizedLocalGreedy(num_permutations=3, seed=0, jobs=0)
+        serial = RandomizedLocalGreedy(num_permutations=3, seed=0, jobs=None)
+        assert (per_core.build_strategy(instance).triples()
+                == serial.build_strategy(instance).triples())
+        assert per_core.last_extras["jobs"] == 1
+
+    def test_run_algorithms_jobs_zero_matches_serial(self,
+                                                     tiny_amazon_pipeline):
+        instance = tiny_amazon_pipeline.instance
+
+        def suite():
+            return standard_algorithms(rl_permutations=2, seed=0)
+
+        per_core = run_algorithms(instance, suite(), jobs=0)
+        serial = run_algorithms(instance, suite(), jobs=None)
+        assert list(per_core) == list(serial)
+        for name in serial:
+            assert (per_core[name].strategy.triples()
+                    == serial[name].strategy.triples())
+            assert per_core[name].revenue == serial[name].revenue
 
 
 class TestParallelPermutations:
