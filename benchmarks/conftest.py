@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 
 import pytest
 
@@ -25,6 +24,7 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.experiments.harness import prepare_dataset  # noqa: E402
+from repro.io import atomic_write  # noqa: E402
 
 _SWEEP_FALLBACK = {"medium": "small", "small": "tiny", "tiny": "tiny"}
 
@@ -46,7 +46,7 @@ def sweep_scale() -> str:
 
 
 def write_bench_json(path: str, document: dict) -> None:
-    """Atomically write a ``BENCH_*.json`` record (temp file + rename).
+    """Atomically write a ``BENCH_*.json`` record (:func:`repro.io.atomic_write`).
 
     The benchmark records double as roadmap telemetry, so a crashed or
     concurrent run (the smoke job and a local sweep racing, say) must never
@@ -60,22 +60,9 @@ def write_bench_json(path: str, document: dict) -> None:
     """
     document = dict(document)
     document.setdefault("cpu_count", os.cpu_count() or 1)
-    path = os.path.abspath(path)
-    descriptor, staging = tempfile.mkstemp(
-        dir=os.path.dirname(path), prefix=os.path.basename(path) + ".",
-        suffix=".tmp",
-    )
-    try:
-        with os.fdopen(descriptor, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(staging, path)
-    except BaseException:
-        try:
-            os.unlink(staging)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        raise
+    with atomic_write(path) as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def run_once(benchmark, function, *args, **kwargs):

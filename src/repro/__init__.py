@@ -49,7 +49,6 @@ from repro.datasets import (
     generate_synthetic_instance,
     run_pipeline,
 )
-from repro.core import get_default_backend, set_default_backend
 from repro.experiments import prepare_dataset, run_algorithms, standard_algorithms
 from repro.simulation import AdoptionSimulator
 
@@ -84,10 +83,8 @@ __all__ = [
     "generate_epinions_like",
     "generate_synthetic_columnar",
     "generate_synthetic_instance",
-    "get_default_backend",
     "prepare_dataset",
     "run_algorithms",
     "run_pipeline",
-    "set_default_backend",
     "standard_algorithms",
 ]

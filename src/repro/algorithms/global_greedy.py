@@ -46,8 +46,8 @@ class GlobalGreedy(RevMaxAlgorithm):
             single flat addressable heap (ablation).
         ignore_saturation: select triples as if no saturation existed
             (the GlobalNo baseline).
-        backend: revenue-engine backend ("numpy" / "python"); ``None`` uses
-            the process default.
+        backend: revenue-engine backend ("numpy" / "python"); ``None`` means
+            numpy.
         use_compiled: seed the frontier from the instance's columnar
             compilation (default).  ``False`` forces the per-triple seeding
             loop (the pre-compilation path, kept for the scalability
@@ -190,7 +190,7 @@ class GlobalGreedy(RevMaxAlgorithm):
             return strategy
         solver = getattr(self, "_incremental", None)
         if solver is None or solver.instance is not instance:
-            solver = IncrementalSolver(instance, backend=self.backend)
+            solver = IncrementalSolver(instance)
             self._incremental = solver
             if delta is None:
                 strategy = solver.solve()

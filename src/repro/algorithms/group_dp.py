@@ -76,8 +76,8 @@ def optimal_group_plan(
         user: the user of the group.
         class_id: the item class of the group.
         max_candidates: guard against exponential blow-up; exceeding it raises.
-        backend: revenue-engine backend ("numpy" / "python"); ``None`` uses
-            the process default.
+        backend: revenue-engine backend ("numpy" / "python"); ``None`` means
+            numpy.
 
     Returns:
         ``(best_subset, best_revenue)``; the empty subset with revenue 0.0 when
@@ -138,7 +138,7 @@ class GroupDecompositionBound:
             bounded by ``sum of each time step's best k isolated revenues``
             instead of exact enumeration (still an upper bound, just looser).
         backend: revenue-engine backend used by the per-group enumeration;
-            ``None`` uses the process default.
+            ``None`` means numpy.
     """
 
     def __init__(self, max_candidates_per_group: int = 14,

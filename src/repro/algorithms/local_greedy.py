@@ -85,8 +85,8 @@ class SequentialLocalGreedy(RevMaxAlgorithm):
     """SL-Greedy: per-time-step greedy in chronological order.
 
     Args:
-        backend: revenue-engine backend ("numpy" / "python"); ``None`` uses
-            the process default.
+        backend: revenue-engine backend ("numpy" / "python"); ``None`` means
+            numpy.
     """
 
     name = "SL-Greedy"
@@ -132,8 +132,8 @@ class RandomizedLocalGreedy(RevMaxAlgorithm):
         num_permutations: number of distinct permutations to sample (the
             paper uses ``N = 20``).
         seed: random seed controlling the sampled permutations.
-        backend: revenue-engine backend ("numpy" / "python"); ``None`` uses
-            the process default.
+        backend: revenue-engine backend ("numpy" / "python"); ``None`` means
+            numpy.
         jobs: number of worker processes evaluating permutations (``None`` or
             1: run serially in-process; ``0``: one per core, in-process on a
             single core).  Permutations are sampled up front, so the

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from repro.core.constraints import ConstraintChecker
 from repro.core.effective import EffectiveRevenueModel
 from repro.core.entities import Triple
 from repro.core.problem import RevMaxInstance
-from repro.core.selection import SEED_MARGINAL, LazyGreedySelector
 from repro.core.strategy import Strategy
 from repro.matroid.local_search import non_monotone_local_search
 from repro.matroid.partition import display_constraint_matroid
@@ -41,54 +39,20 @@ class LocalSearchApproximation(RevMaxAlgorithm):
             ``B_S(i, t)``; defaults to the exact Poisson-binomial oracle.
         max_iterations: safety cap on the number of improving moves.
         backend: revenue-engine backend forwarded to the effective revenue
-            model; ``None`` uses the process default.
-        warm_start: start the first local-search phase from a greedy
-            solution built by the shared selection engine (display-only
-            constraints, effective-revenue marginals) instead of Lee et
-            al.'s best single element.  Off by default: the warm start can
-            only change which approximate local optimum the first phase
-            lands on, and the textbook start keeps the reproduction aligned
-            with the paper's analysis.
+            model; ``None`` means numpy.
     """
 
     name = "LocalSearch-1/(4+eps)"
 
     def __init__(self, epsilon: float = 0.25, capacity_oracle=None,
                  max_iterations: int = 5000,
-                 backend: Optional[str] = None,
-                 warm_start: bool = False) -> None:
+                 backend: Optional[str] = None) -> None:
         self._epsilon = epsilon
         self._capacity_oracle = capacity_oracle
         self._max_iterations = max_iterations
-        self._warm_start = warm_start
         self.backend = backend
         self.last_extras: Dict[str, object] = {}
         self.last_evaluations: int = 0
-
-    def _greedy_warm_start(self, instance: RevMaxInstance,
-                           model: EffectiveRevenueModel) -> Strategy:
-        """Greedy initial solution under the display matroid.
-
-        The selection engine runs with capacity enforcement disabled (the
-        capacity constraint is inside the effective objective, Definition 4)
-        and *eager* refreshes: the capacity factor couples triples across
-        (user, class) groups, so the lazy-forward staleness flag -- which
-        only tracks the candidate's own group -- is not a reliable refresh
-        trigger here.  Eager refreshes cover the dominant same-group
-        interactions; remaining cross-user staleness only affects the
-        quality of the starting point, never the validity of the final
-        solution (the local search owns correctness).
-        """
-        strategy = Strategy(instance.catalog)
-        selector = LazyGreedySelector(
-            instance, model,
-            ConstraintChecker(instance, enforce_capacity=False),
-            use_lazy_forward=False,
-            use_two_level_heap=False,
-            seed_priorities=SEED_MARGINAL,
-        )
-        selector.select(strategy, instance.candidate_triples())
-        return strategy
 
     def build_strategy(self, instance: RevMaxInstance) -> Strategy:
         model = EffectiveRevenueModel(
@@ -100,22 +64,16 @@ class LocalSearchApproximation(RevMaxAlgorithm):
             strategy = Strategy(instance.catalog, subset)
             return model.revenue(strategy)
 
-        initial_solution = None
-        if self._warm_start:
-            initial_solution = self._greedy_warm_start(instance, model).triples()
-
         result = non_monotone_local_search(
             objective,
             matroid,
             epsilon=self._epsilon,
             max_iterations=self._max_iterations,
-            initial_solution=initial_solution,
         )
         self.last_extras = {
             "moves": result.moves,
             "objective_value": result.value,
             "epsilon": self._epsilon,
-            "warm_start": self._warm_start,
         }
         self.last_evaluations = result.evaluations
         return Strategy(instance.catalog, result.solution)

@@ -40,7 +40,7 @@ from repro.algorithms.base import RevMaxAlgorithm
 from repro.algorithms.baselines import TopRatingBaseline, TopRevenueBaseline
 from repro.algorithms.global_greedy import GlobalGreedy, GlobalGreedyNoSaturation
 from repro.algorithms.local_greedy import RandomizedLocalGreedy, SequentialLocalGreedy
-from repro.core.vectorized import BACKENDS, set_default_backend
+from repro.core.vectorized import BACKENDS
 from repro.datasets.synthetic import SyntheticConfig
 from repro.experiments import figures
 from repro.experiments.harness import (
@@ -88,10 +88,9 @@ def _make_algorithm(key: str, pipeline, seed: int,
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser, jobs_help: str) -> None:
-    """Attach the revenue-engine knobs shared by every subcommand."""
+    """Attach the revenue-engine knobs of the solver subcommands."""
     parser.add_argument("--backend", choices=BACKENDS, default=None,
-                        help="revenue-engine backend (default: numpy, or "
-                             "the REPRO_REVENUE_BACKEND environment variable)")
+                        help="revenue-engine backend (default: numpy)")
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
                         help=jobs_help)
 
@@ -140,11 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     exhibit.add_argument("name", choices=_EXHIBITS)
     exhibit.add_argument("--scale", choices=sorted(SCALES), default="tiny")
     exhibit.add_argument("--seed", type=int, default=0)
-    _add_engine_arguments(
-        exhibit,
-        jobs_help="worker processes for the suite-running exhibits "
-                  f"({', '.join(_SUITE_EXHIBITS)}); ignored by the rest",
-    )
+    exhibit.add_argument("--jobs", type=int, default=0, metavar="N",
+                         help="worker processes for the suite-running "
+                              f"exhibits ({', '.join(_SUITE_EXHIBITS)}); "
+                              "ignored by the rest")
 
     resolve = subparsers.add_parser(
         "resolve",
@@ -164,10 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the repaired strategy as JSON")
     resolve.add_argument("--save-instance", metavar="PATH", default=None,
                          help="write the mutated instance (.json or .npz)")
-    resolve.add_argument("--backend", choices=("numpy",), default=None,
-                         help="revenue-engine backend (the incremental "
-                              "engine replays the columnar numpy path; "
-                              "'python' is not available here)")
 
     info = subparsers.add_parser(
         "info", help="print instance statistics and compiled-tensor footprint"
@@ -220,10 +214,6 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 def _command_exhibit(args: argparse.Namespace) -> int:
     name = args.name
-    if args.backend is not None:
-        # The exhibit functions build their own models throughout; the
-        # process-wide default is the one switch that reaches all of them.
-        set_default_backend(args.backend)
     if name in ("figure6", "random-prices", "theory"):
         if name == "figure6":
             result = figures.figure6_scalability(
@@ -278,19 +268,18 @@ def _command_resolve(args: argparse.Namespace) -> int:
     else:
         instance = repro_io.load_instance(args.load)
     delta = load_delta(args.delta) if args.delta else None
-    try:
-        if args.state:
+    if args.state:
+        try:
             solver = IncrementalSolver.from_state(
-                instance, repro_io.load_solver_state(args.state),
-                backend=args.backend,
+                instance, repro_io.load_solver_state(args.state)
             )
-        else:
-            solver = IncrementalSolver(instance, backend=args.backend)
-    except ValueError as error:
-        # E.g. REPRO_REVENUE_BACKEND=python in the environment: report it
-        # as a CLI error instead of a traceback.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        except ValueError as error:
+            # A state saved against other tensors (a stale plan.npz next to
+            # a newer state.json): report it as a CLI error, not a traceback.
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+    else:
+        solver = IncrementalSolver(instance)
     if delta is not None:
         print(delta.summary())
     start = time.perf_counter()

@@ -21,8 +21,6 @@ from repro.core.random_prices import PriceDistribution, TaylorRevenueModel
 from repro.core.selection import LazyGreedySelector
 from repro.core.vectorized import (
     GroupArrays,
-    get_default_backend,
-    set_default_backend,
     vectorized_extended_group_revenues,
     vectorized_group_probabilities,
     vectorized_group_revenue,
@@ -49,10 +47,8 @@ __all__ = [
     "Triple",
     "UserMeta",
     "GroupArrays",
-    "get_default_backend",
     "group_dynamic_probability",
     "memory_term",
-    "set_default_backend",
     "vectorized_extended_group_revenues",
     "vectorized_group_probabilities",
     "vectorized_group_revenue",

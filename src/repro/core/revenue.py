@@ -136,7 +136,7 @@ def adaptive_group_revenue(instance: RevMaxInstance,
 
 
 def kernel_for_backend(backend: Optional[str]):
-    """Map a backend name (or ``None`` for the default) to its revenue kernel.
+    """Map a backend name (``None`` means numpy) to its revenue kernel.
 
     The single place the backend-to-kernel mapping is encoded; used by
     :class:`RevenueModel` and by callers that evaluate groups without a model
@@ -163,11 +163,10 @@ class RevenueModel:
     * ``backend`` selects the group-revenue kernel -- ``"numpy"`` (the
       vectorized kernels of :mod:`repro.core.vectorized`, the default) or
       ``"python"`` (the reference scalar loops of this module).  ``None``
-      picks the process-wide default (``REPRO_REVENUE_BACKEND`` /
-      :func:`repro.core.vectorized.set_default_backend`).  The numpy backend
-      dispatches adaptively: groups smaller than
-      :data:`VECTORIZE_MIN_GROUP` run the scalar loops (array-construction
-      overhead would dominate), larger groups run the broadcasting kernel.
+      means numpy.  The numpy backend dispatches adaptively: groups smaller
+      than :data:`VECTORIZE_MIN_GROUP` run the scalar loops
+      (array-construction overhead would dominate), larger groups run the
+      broadcasting kernel.
     * ``cache`` enables the *incremental group cache*: group revenues are
       memoised keyed on the group's membership (a frozenset of triples), so
       a marginal-revenue call recomputes only the extended "after" group and
@@ -184,7 +183,7 @@ class RevenueModel:
 
     Args:
         instance: the REVMAX instance to evaluate (treated as immutable).
-        backend: ``"numpy"``, ``"python"`` or ``None`` (process default).
+        backend: ``"numpy"``, ``"python"`` or ``None`` (numpy).
         cache: enable the incremental group cache (default ``True``).
             ``RevenueModel(instance, backend="python", cache=False)``
             reproduces the original pure-Python engine exactly.

@@ -19,23 +19,16 @@ the same arithmetic as the pure-Python reference in
 :mod:`repro.core.revenue`, so the two backends agree to floating-point
 round-off (enforced by ``tests/test_vectorized.py``).
 
-Backend selection
------------------
-``RevenueModel`` picks its kernel through :func:`resolve_backend`:
-
-* an explicit ``backend="numpy"`` / ``backend="python"`` argument wins;
-* otherwise the process-wide default applies -- settable with
-  :func:`set_default_backend` or the ``REPRO_REVENUE_BACKEND`` environment
-  variable, and ``"numpy"`` out of the box.
-
-The pure-Python backend is kept both as the executable specification the
-vectorized kernels are tested against and as a fallback for debugging
-(pure-Python stack traces point at the exact term that misbehaves).
+``RevenueModel`` picks its kernel from one explicit ``backend=`` argument
+(:func:`resolve_backend`): ``"numpy"`` (also what ``None`` means) or
+``"python"``.  The pure-Python backend is kept both as the executable
+specification the vectorized kernels are tested against and as a fallback
+for debugging (pure-Python stack traces point at the exact term that
+misbehaves).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -46,10 +39,7 @@ from repro.core.problem import RevMaxInstance
 
 __all__ = [
     "BACKENDS",
-    "BACKEND_ENV_VAR",
     "GroupArrays",
-    "get_default_backend",
-    "set_default_backend",
     "resolve_backend",
     "vectorized_memory_terms",
     "vectorized_group_probabilities",
@@ -60,43 +50,11 @@ __all__ = [
 #: Recognised revenue-engine backends.
 BACKENDS: Tuple[str, ...] = ("numpy", "python")
 
-#: Environment variable overriding the default backend for a whole process.
-BACKEND_ENV_VAR = "REPRO_REVENUE_BACKEND"
-
-_default_backend: Optional[str] = None
-
-
-def get_default_backend() -> str:
-    """Return the backend used when ``RevenueModel`` is given ``backend=None``.
-
-    Resolution order: :func:`set_default_backend` override, then the
-    ``REPRO_REVENUE_BACKEND`` environment variable, then ``"numpy"``.
-    """
-    if _default_backend is not None:
-        return _default_backend
-    env = os.environ.get(BACKEND_ENV_VAR)
-    if env:
-        if env not in BACKENDS:
-            raise ValueError(
-                f"{BACKEND_ENV_VAR}={env!r} is not a known backend; "
-                f"expected one of {BACKENDS}"
-            )
-        return env
-    return "numpy"
-
-
-def set_default_backend(backend: Optional[str]) -> None:
-    """Set the process-wide default backend (``None`` restores env/default)."""
-    global _default_backend
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    _default_backend = backend
-
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """Validate an explicit backend choice or fall back to the default."""
+    """Validate a backend choice; ``None`` means ``"numpy"``."""
     if backend is None:
-        return get_default_backend()
+        return "numpy"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     return backend

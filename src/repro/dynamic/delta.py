@@ -298,10 +298,11 @@ class InstanceDelta:
 
 
 def save_delta(delta: InstanceDelta, path: _PathLike) -> None:
-    """Write a delta to a JSON file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    """Write a delta to a JSON file, atomically."""
+    # Imported lazily: repro.io imports the dynamic layer.
+    from repro.io import atomic_write
+
+    with atomic_write(path) as handle:
         json.dump(delta.to_dict(), handle, indent=2, sort_keys=True)
 
 

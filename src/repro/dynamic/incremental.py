@@ -78,7 +78,6 @@ from repro.core.selection import (
     SelectionTrace,
 )
 from repro.core.strategy import Strategy
-from repro.core.vectorized import resolve_backend
 from repro.dynamic.apply import apply_delta
 from repro.dynamic.delta import InstanceDelta
 
@@ -175,7 +174,6 @@ class IncrementalSolver:
         instance: the instance to solve and mutate.  Columnar-backed
             instances re-solve fastest; dict-backed ones work too (their
             cached compilation is patched alongside the table).
-        backend: revenue-engine backend; must resolve to ``"numpy"``.
 
     Attributes:
         strategy: the current solution (after ``solve``/``resolve``).
@@ -187,13 +185,7 @@ class IncrementalSolver:
             dirty/reused split or the ``fallback_reason``.
     """
 
-    def __init__(self, instance: RevMaxInstance,
-                 backend: Optional[str] = None) -> None:
-        if resolve_backend(backend) != "numpy":
-            raise ValueError(
-                "IncrementalSolver requires the numpy backend (the columnar "
-                "selection path is the cold reference it reproduces)"
-            )
+    def __init__(self, instance: RevMaxInstance) -> None:
         self._instance = instance
         self.strategy: Optional[Strategy] = None
         self.growth_curve: List[Tuple[int, float]] = []
@@ -495,8 +487,8 @@ class IncrementalSolver:
         )
 
     @classmethod
-    def from_state(cls, instance: RevMaxInstance, state: SolverState,
-                   backend: Optional[str] = None) -> "IncrementalSolver":
+    def from_state(cls, instance: RevMaxInstance,
+                   state: SolverState) -> "IncrementalSolver":
         """Rebuild a warm solver from a persisted state.
 
         The state is only meaningful against the exact tensors it was
@@ -517,7 +509,7 @@ class IncrementalSolver:
                 f"the instance the state was saved with (persist both with "
                 f"repro resolve --save-state/--save-instance)"
             )
-        solver = cls(instance, backend=backend)
+        solver = cls(instance)
         order: List[Tuple[Triple, float]] = []
         strategy = Strategy(instance.catalog)
         growth_curve: List[Tuple[int, float]] = []

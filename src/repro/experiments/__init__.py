@@ -10,7 +10,6 @@ from repro.experiments.harness import (
     predicted_ratings_map,
     prepare_dataset,
     run_algorithms,
-    set_dataset_cache_limit,
     standard_algorithms,
 )
 from repro.experiments.figures import (
@@ -54,7 +53,6 @@ __all__ = [
     "predicted_ratings_map",
     "prepare_dataset",
     "run_algorithms",
-    "set_dataset_cache_limit",
     "standard_algorithms",
     "table1_dataset_statistics",
     "table2_running_times",

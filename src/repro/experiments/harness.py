@@ -33,7 +33,6 @@ from repro.recsys.mf import MFConfig
 __all__ = [
     "SCALES",
     "prepare_dataset",
-    "set_dataset_cache_limit",
     "predicted_ratings_map",
     "standard_algorithms",
     "run_algorithms",
@@ -81,25 +80,7 @@ _DATASET_CACHE: "OrderedDict[Tuple[str, str, int, int], PipelineResult]" = (
     OrderedDict()
 )
 _DATASET_CACHE_LOCK = threading.Lock()
-_DATASET_CACHE_LIMIT = int(os.environ.get("REPRO_DATASET_CACHE_SIZE", "8"))
-
-
-def set_dataset_cache_limit(limit: int) -> int:
-    """Bound the dataset cache to ``limit`` entries (0 disables caching).
-
-    The default is 8 entries, overridable process-wide through the
-    ``REPRO_DATASET_CACHE_SIZE`` environment variable.  Returns the previous
-    limit so tests can restore it.
-    """
-    global _DATASET_CACHE_LIMIT
-    if limit < 0:
-        raise ValueError("cache limit must be non-negative")
-    with _DATASET_CACHE_LOCK:
-        previous = _DATASET_CACHE_LIMIT
-        _DATASET_CACHE_LIMIT = int(limit)
-        while len(_DATASET_CACHE) > _DATASET_CACHE_LIMIT:
-            _DATASET_CACHE.popitem(last=False)
-    return previous
+_DATASET_CACHE_LIMIT = 8
 
 
 def prepare_dataset(name: str, scale: str = "small", seed: int = 0,
@@ -180,7 +161,7 @@ def standard_algorithms(
             recognised keys are GG, GG-No, RLG, SLG, TopRev, TopRat.
         seed: seed of the randomized components.
         backend: revenue-engine backend forwarded to every solver ("numpy" /
-            "python"; ``None`` uses the process default).  Handy for
+            "python"; ``None`` means numpy).  Handy for
             benchmarking the engines against each other on identical suites.
         rl_jobs: worker processes for RL-Greedy's permutation fan-out
             (``None``: serial; ``0``: one per core).  Leave unset when the

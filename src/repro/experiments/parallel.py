@@ -32,7 +32,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import AlgorithmResult, RevMaxAlgorithm
 from repro.core.problem import RevMaxInstance
-from repro.core.vectorized import get_default_backend, set_default_backend
 from repro.parallel import parallel_map
 
 __all__ = [
@@ -73,15 +72,7 @@ class PermutationRun:
 
 
 def _init_permutation_worker(instance: RevMaxInstance,
-                             backend: Optional[str],
-                             default_backend: str) -> None:
-    # Re-assert the parent's resolved default: under the spawn start method
-    # a worker re-imports repro.core.vectorized with a clean module global,
-    # so anything the parent configured via set_default_backend would
-    # silently fall back to the environment default otherwise.  (No-op under
-    # fork and on the in-process serial fallback.)
-    if get_default_backend() != default_backend:
-        set_default_backend(default_backend)
+                             backend: Optional[str]) -> None:
     _WORKER_STATE["instance"] = instance
     _WORKER_STATE["backend"] = backend
 
@@ -130,13 +121,11 @@ def run_permutations_parallel(
         [tuple(order) for order in orders],
         jobs=jobs,
         initializer=_init_permutation_worker,
-        initargs=(instance, backend, get_default_backend()),
+        initargs=(instance, backend),
     )
 
 
-def _init_suite_worker(instance: RevMaxInstance, default_backend: str) -> None:
-    if get_default_backend() != default_backend:  # see _init_permutation_worker
-        set_default_backend(default_backend)
+def _init_suite_worker(instance: RevMaxInstance) -> None:
     _WORKER_STATE["instance"] = instance
 
 
@@ -168,7 +157,7 @@ def run_algorithms_parallel(
             algorithms,
             jobs=jobs,
             initializer=_init_suite_worker,
-            initargs=(instance, get_default_backend()),
+            initargs=(instance,),
         ),
     ):
         if settings:

@@ -27,14 +27,22 @@ straight out of the archive (uncompressed zip members are plain ``.npy``
 payloads at a known byte offset), so opening a multi-gigabyte instance
 costs a few page faults rather than a full read -- and the returned
 instance is columnar-backed end to end.
+
+Every writer goes through :func:`atomic_write`: the bytes land in a sibling
+temp file that replaces the target only once complete, so a crash mid-save
+leaves the previous file intact -- and a re-save over the ``.npz`` an
+instance was just memory-mapped from never truncates the mapped pages.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import IO, Dict, Iterator, Optional, Union
 
 import numpy as np
 
@@ -47,6 +55,7 @@ from repro.dynamic.incremental import SolverState
 
 __all__ = [
     "FORMAT_VERSION",
+    "atomic_write",
     "instance_to_dict",
     "instance_from_dict",
     "save_instance",
@@ -152,10 +161,8 @@ def save_instance_npz(instance: RevMaxInstance, path: _PathLike) -> None:
     :func:`load_instance_npz` can memory-map the tensors in place.
     """
     compiled = instance.compiled()
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # savez on a file object: no surprise ".npz" suffix appended to the path.
-    with path.open("wb") as handle:
+    with atomic_write(path, "wb") as handle:
         np.savez(
             handle,
             format_version=np.int64(FORMAT_VERSION),
@@ -441,10 +448,33 @@ def _check_document(document: Dict, expected_kind: str) -> None:
         )
 
 
-def _write_json(document: Dict, path: _PathLike) -> None:
+@contextmanager
+def atomic_write(path: _PathLike, mode: str = "w") -> Iterator[IO]:
+    """Open ``path`` for writing so that it is replaced whole or not at all.
+
+    Yields a handle on a ``<name>.<random>.tmp`` sibling; when the block
+    completes, the temp file is flushed, ``fsync``-ed and renamed over
+    ``path`` (``os.replace``, atomic on POSIX).  On any error the temp file
+    is removed and ``path`` keeps its previous contents.  Readers that hold
+    the old file open or memory-mapped keep seeing the old bytes.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
+    staging = path.with_name(f"{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        with open(staging, mode.replace("w", "x"), encoding=encoding) as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(staging, path)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(document: Dict, path: _PathLike) -> None:
+    with atomic_write(path) as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
 
 

@@ -70,7 +70,6 @@ def local_search_matroid(
     ground_set: Optional[Iterable[Hashable]] = None,
     epsilon: float = 0.25,
     max_iterations: int = 10_000,
-    initial_solution: Optional[Iterable[Hashable]] = None,
 ) -> LocalSearchResult:
     """Run one approximate local search within the matroid.
 
@@ -82,9 +81,6 @@ def local_search_matroid(
             only taken when they improve the value by a factor of at least
             ``1 + epsilon / n**2``.
         max_iterations: hard cap on the number of improving moves.
-        initial_solution: optional independent set to start the search from
-            (e.g. a greedy warm start) instead of the best single element of
-            Lee et al.'s analysis.  Must be independent in the matroid.
 
     Returns:
         A :class:`LocalSearchResult` describing the local optimum found.
@@ -100,20 +96,11 @@ def local_search_matroid(
     n = max(1, len(candidates))
     threshold = 1.0 + epsilon / (n * n)
 
-    current: Optional[Set[Hashable]] = None
-    if initial_solution is not None:
-        current = set(initial_solution)
-        if current and not matroid.is_independent(current):
-            raise ValueError("initial_solution must be independent in the matroid")
-        if not current:
-            current = None
-    if current is None:
-        start = _best_single_element(wrapped, matroid, candidates)
-        if start is None:
-            return LocalSearchResult(
-                frozenset(), wrapped(frozenset()), 0, wrapped.evaluations
-            )
-        current = {start}
+    start = _best_single_element(wrapped, matroid, candidates)
+    if start is None:
+        return LocalSearchResult(frozenset(), wrapped(frozenset()), 0, wrapped.evaluations)
+
+    current: Set[Hashable] = {start}
     current_value = wrapped(current)
     moves = 0
     improved = True
@@ -168,7 +155,6 @@ def non_monotone_local_search(
     ground_set: Optional[Iterable[Hashable]] = None,
     epsilon: float = 0.25,
     max_iterations: int = 10_000,
-    initial_solution: Optional[Iterable[Hashable]] = None,
 ) -> LocalSearchResult:
     """Two-phase local search of Lee et al. for non-monotone objectives.
 
@@ -176,10 +162,6 @@ def non_monotone_local_search(
     the ground set with the first solution removed, returning the better of
     the two local optima.  This second run is what lifts the guarantee from
     monotone to general non-negative submodular objectives.
-
-    An ``initial_solution`` (e.g. a greedy warm start) only affects the first
-    phase; the second phase still explores the complement of the first local
-    optimum from scratch.
     """
     candidates = list(ground_set if ground_set is not None else matroid.ground_set)
     wrapped = (
@@ -187,8 +169,7 @@ def non_monotone_local_search(
         if isinstance(objective, MemoizedSetFunction)
         else MemoizedSetFunction(objective)
     )
-    first = local_search_matroid(wrapped, matroid, candidates, epsilon,
-                                 max_iterations, initial_solution=initial_solution)
+    first = local_search_matroid(wrapped, matroid, candidates, epsilon, max_iterations)
     remaining = [element for element in candidates if element not in first.solution]
     second = local_search_matroid(wrapped, matroid, remaining, epsilon, max_iterations)
     best = first if first.value >= second.value else second

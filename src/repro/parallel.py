@@ -54,7 +54,6 @@ def parallel_map(
     *,
     initializer: Optional[Callable[..., None]] = None,
     initargs: Tuple = (),
-    chunksize: int = 1,
 ) -> List[_R]:
     """Map ``function`` over ``items`` across worker processes, in order.
 
@@ -67,7 +66,6 @@ def parallel_map(
             invoked once, in-process, on the serial fallback so the function
             finds the same state either way.
         initargs: arguments for ``initializer``.
-        chunksize: items handed to a worker per dispatch.
 
     Returns:
         ``[function(item) for item in items]``, in item order.
@@ -86,4 +84,4 @@ def parallel_map(
         initializer=initializer,
         initargs=initargs,
     ) as pool:
-        return list(pool.map(function, items, chunksize=chunksize))
+        return list(pool.map(function, items))

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.algorithms.global_greedy import GlobalGreedy
 from repro.cli import build_parser, main
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 class TestParser:
@@ -28,15 +34,17 @@ class TestParser:
 
     def test_backend_and_jobs_on_every_subcommand(self):
         parser = build_parser()
-        for argv in (["solve"], ["compare"], ["exhibit", "table1"]):
-            args = parser.parse_args(argv + ["--backend", "python",
-                                             "--jobs", "4"])
+        for argv in (["solve"], ["compare"]):
+            args = parser.parse_args(argv + ["--backend", "python"])
             assert args.backend == "python"
-            assert args.jobs == 4
-            defaults = parser.parse_args(argv)
-            assert defaults.backend is None
+            assert parser.parse_args(argv).backend is None
+        # Exhibits build their own models: they take --jobs, not --backend.
+        with pytest.raises(SystemExit):
+            parser.parse_args(["exhibit", "table1", "--backend", "python"])
+        for argv in (["solve"], ["compare"], ["exhibit", "table1"]):
+            assert parser.parse_args(argv + ["--jobs", "4"]).jobs == 4
             # One worker per core by default (in-process on one core).
-            assert defaults.jobs == 0
+            assert parser.parse_args(argv).jobs == 0
 
     def test_invalid_backend_rejected(self):
         with pytest.raises(SystemExit):
@@ -131,22 +139,11 @@ class TestResolveCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["resolve"])
 
-    def test_resolve_rejects_python_backend(self, tmp_path, monkeypatch,
-                                            capsys):
-        # The flag is constrained by the parser ...
+    def test_resolve_rejects_python_backend(self):
+        # The incremental engine replays the numpy path: no --backend flag.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["resolve", "--load", "x.npz",
                                        "--backend", "python"])
-        # ... and a python default from the environment is a clean CLI
-        # error, not a traceback.
-        instance_path = tmp_path / "plan.npz"
-        assert main(["solve", "--scale", "tiny",
-                     "--save-instance", str(instance_path)]) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("REPRO_REVENUE_BACKEND", "python")
-        assert main(["resolve", "--load", str(instance_path)]) == 2
-        captured = capsys.readouterr()
-        assert "numpy backend" in captured.err
 
     def test_cold_prime_then_warm_delta_cycle(self, tmp_path, capsys):
         """The full CLI workflow: solve, prime state, re-solve with a delta."""
@@ -182,6 +179,42 @@ class TestResolveCommand:
         document = json.loads(strategy_path.read_text())
         assert document["kind"] == "revmax-strategy"
         assert len(document["triples"]) > 0
+
+    def test_readme_cycle_resaves_in_place(self, tmp_path):
+        """The README's documented cycle: every delta cycle loads and re-saves
+        the same plan.npz and state.json.
+
+        Run out of process: the plan is memory-mapped while it is re-saved,
+        and a writer that truncates it in place kills the process (SIGBUS).
+        """
+        from repro import io as repro_io
+        from repro.dynamic import InstanceDelta, save_delta
+
+        def cli(*argv):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+            return subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv], cwd=tmp_path,
+                env=env, capture_output=True, text=True,
+            ).returncode
+
+        assert cli("solve", "--scale", "tiny",
+                   "--save-instance", "plan.npz") == 0
+        assert cli("resolve", "--load", "plan.npz",
+                   "--save-state", "state.json") == 0
+        for cycle, price in enumerate((42.0, 17.5)):
+            save_delta(InstanceDelta(price_updates={(0, 0): price},
+                                     capacity_updates={1: 500 + cycle}),
+                       tmp_path / "deltas.json")
+            assert cli("resolve", "--load", "plan.npz", "--state", "state.json",
+                       "--delta", "deltas.json", "--save-state", "state.json",
+                       "--save-instance", "plan.npz",
+                       "--save-strategy", "plan.json") == 0
+        instance = repro_io.load_instance_npz(tmp_path / "plan.npz")
+        stored = repro_io.load_strategy(tmp_path / "plan.json",
+                                        instance.catalog)
+        cold = GlobalGreedy().build_strategy(instance)
+        assert sorted(stored.triples()) == sorted(cold.triples())
 
     def test_warm_merge_path_reports_reuse(self, tmp_path, capsys):
         """A saturating instance takes the fast merge path through the CLI."""

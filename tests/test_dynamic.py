@@ -266,10 +266,6 @@ class TestApplyDelta:
 # the incremental solver
 # ----------------------------------------------------------------------
 class TestIncrementalSolver:
-    def test_requires_numpy_backend(self, small_instance):
-        with pytest.raises(ValueError, match="numpy backend"):
-            IncrementalSolver(small_instance, backend="python")
-
     def test_cold_solve_matches_global_greedy(self, small_instance):
         solver = IncrementalSolver(small_instance)
         strategy = solver.solve()

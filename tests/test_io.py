@@ -117,3 +117,41 @@ class TestResultSerialization:
         assert document["extras"]["numpy_scalar"] == 1.5
         assert document["extras"]["numpy_array"] == [1, 2, 3]
         assert document["extras"]["nested"]["value"] == 7
+
+
+class TestAtomicWrites:
+    """A writer that dies mid-save leaves the previous file untouched."""
+
+    @staticmethod
+    def _explode(handle, partial):
+        handle.write(partial)
+        raise RuntimeError("disk full")
+
+    def _assert_untouched(self, path, before):
+        assert path.read_bytes() == before
+        assert list(path.parent.glob("*.tmp")) == []
+
+    def test_failed_npz_save_keeps_previous_file(self, small_instance,
+                                                 tmp_path, monkeypatch):
+        path = tmp_path / "plan.npz"
+        repro_io.save_instance_npz(small_instance, path)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            np, "savez", lambda handle, **arrays: self._explode(handle, b"PK")
+        )
+        with pytest.raises(RuntimeError, match="disk full"):
+            repro_io.save_instance_npz(small_instance, path)
+        self._assert_untouched(path, before)
+
+    def test_failed_json_save_keeps_previous_file(self, small_instance,
+                                                  tmp_path, monkeypatch):
+        path = tmp_path / "instance.json"
+        repro_io.save_instance(small_instance, path)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            json, "dump",
+            lambda document, handle, **kwargs: self._explode(handle, "{"),
+        )
+        with pytest.raises(RuntimeError, match="disk full"):
+            repro_io.save_instance(small_instance, path)
+        self._assert_untouched(path, before)

@@ -18,7 +18,6 @@ from repro.experiments.harness import (
     experiment_records,
     prepare_dataset,
     run_algorithms,
-    set_dataset_cache_limit,
     standard_algorithms,
 )
 from repro.experiments.parallel import run_permutations_parallel
@@ -174,8 +173,8 @@ class TestParallelSuite:
 
 
 class TestDatasetCache:
-    def test_cache_is_lru_bounded(self):
-        previous = set_dataset_cache_limit(2)
+    def test_cache_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(harness, "_DATASET_CACHE_LIMIT", 2)
         try:
             harness._DATASET_CACHE.clear()
             prepare_dataset("amazon", scale="tiny", seed=101)
@@ -191,18 +190,14 @@ class TestDatasetCache:
             assert seeds == [102, 104]
         finally:
             harness._DATASET_CACHE.clear()
-            set_dataset_cache_limit(previous)
 
-    def test_zero_limit_disables_caching(self):
-        previous = set_dataset_cache_limit(0)
-        try:
-            harness._DATASET_CACHE.clear()
-            first = prepare_dataset("amazon", scale="tiny", seed=105)
-            assert len(harness._DATASET_CACHE) == 0
-            second = prepare_dataset("amazon", scale="tiny", seed=105)
-            assert first is not second
-        finally:
-            set_dataset_cache_limit(previous)
+    def test_zero_limit_disables_caching(self, monkeypatch):
+        monkeypatch.setattr(harness, "_DATASET_CACHE_LIMIT", 0)
+        harness._DATASET_CACHE.clear()
+        first = prepare_dataset("amazon", scale="tiny", seed=105)
+        assert len(harness._DATASET_CACHE) == 0
+        second = prepare_dataset("amazon", scale="tiny", seed=105)
+        assert first is not second
 
     def test_cache_hits_return_same_object_within_process(self):
         first = prepare_dataset("amazon", scale="tiny", seed=0)
@@ -212,10 +207,6 @@ class TestDatasetCache:
     def test_keys_include_process_id(self):
         prepare_dataset("amazon", scale="tiny", seed=0)
         assert any(key[3] == os.getpid() for key in harness._DATASET_CACHE)
-
-    def test_negative_limit_rejected(self):
-        with pytest.raises(ValueError):
-            set_dataset_cache_limit(-1)
 
 
 class TestCLIJobs:

@@ -18,7 +18,6 @@ import pytest
 
 from repro.algorithms.global_greedy import GlobalGreedy, GlobalGreedyNoSaturation
 from repro.algorithms.local_greedy import RandomizedLocalGreedy, SequentialLocalGreedy
-from repro.algorithms.local_search import LocalSearchApproximation
 from repro.core.constraints import ConstraintChecker
 from repro.core.revenue import RevenueModel
 from repro.core.selection import SEED_ISOLATED, SEED_MARGINAL, LazyGreedySelector
@@ -288,23 +287,3 @@ class TestLazyGreedySelector:
         # No duplicate admissions: Strategy.add would have raised otherwise.
         assert set(candidates[:2]) <= strategy.triples()
 
-
-class TestWarmStartLocalSearch:
-    def test_warm_start_runs_and_is_recorded(self):
-        instance = build_random_instance(
-            num_users=3, num_items=3, num_classes=2, horizon=2,
-            display_limit=1, capacity=2, beta=0.5, seed=5,
-        )
-        cold = LocalSearchApproximation(epsilon=0.5)
-        warm = LocalSearchApproximation(epsilon=0.5, warm_start=True)
-        cold_result = cold.run(instance)
-        warm_result = warm.run(instance)
-        assert cold.last_extras["warm_start"] is False
-        assert warm.last_extras["warm_start"] is True
-        # Both are approximate local optima of the same objective; the warm
-        # start must stay in the same quality regime as the textbook start.
-        assert warm_result.revenue >= 0.0
-        assert warm.last_extras["objective_value"] >= 0.0
-        # Display feasibility is the one hard constraint of R-REVMAX.
-        checker = ConstraintChecker(instance, enforce_capacity=False)
-        assert checker.is_valid(warm_result.strategy)

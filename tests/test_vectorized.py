@@ -31,9 +31,7 @@ from repro.core.strategy import Strategy
 from repro.core.vectorized import (
     BACKENDS,
     GroupArrays,
-    get_default_backend,
     resolve_backend,
-    set_default_backend,
     vectorized_group_probabilities,
     vectorized_group_revenue,
     vectorized_memory_terms,
@@ -54,7 +52,6 @@ def _random_strategy(instance, size, seed):
 
 class TestBackendSelection:
     def test_default_backend_is_numpy(self):
-        assert get_default_backend() == "numpy"
         assert RevenueModel(build_random_instance()).backend == "numpy"
 
     def test_explicit_backend_wins(self):
@@ -66,17 +63,6 @@ class TestBackendSelection:
             resolve_backend("fortran")
         with pytest.raises(ValueError):
             RevenueModel(build_random_instance(), backend="fortran")
-
-    def test_set_default_backend_round_trip(self):
-        try:
-            set_default_backend("python")
-            assert get_default_backend() == "python"
-            assert RevenueModel(build_random_instance()).backend == "python"
-        finally:
-            set_default_backend(None)
-        assert get_default_backend() == "numpy"
-        with pytest.raises(ValueError):
-            set_default_backend("fortran")
 
 
 class TestKernelEquivalence:
