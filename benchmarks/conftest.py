@@ -59,7 +59,7 @@ def write_bench_json(path: str, document: dict) -> None:
     context.
     """
     document = dict(document)
-    document.setdefault("cpu_count", os.cpu_count() or 1)
+    document["cpu_count"] = os.cpu_count() or 1
     with atomic_write(path) as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

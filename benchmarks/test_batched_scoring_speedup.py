@@ -7,10 +7,10 @@ trajectory can track the selection engine over time:
   selection engine (score every remaining candidate against the strategy
   built so far), run once as the pre-refactor scalar loop (one
   ``marginal_revenue`` call per candidate) and once as a single
-  ``marginal_revenue_batch`` call.  Both paths use the numpy backend and a
-  fresh group cache; the batch wins by bucketing candidates per
-  (user, class) group -- one shared "before" revenue and one broadcasted
-  kernel launch per bucket instead of one launch per candidate.  Gate: >=3x
+  ``marginal_revenue_batch`` call.  Both paths use a fresh numpy-backend
+  model; the batch wins by bucketing candidates per (user, class) group --
+  one shared "before" revenue and one broadcasted kernel launch per bucket
+  instead of two launches per candidate.  Gate: >=3x
   at the default (small) benchmark scale.
 * **serial vs parallel RL-Greedy** -- the same permutation set evaluated
   with ``jobs=1`` and ``jobs>1``, asserting identical outputs and recording
@@ -35,8 +35,8 @@ from repro.core.revenue import RevenueModel
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_instance
 
 #: Figure-6 generator knobs, biased towards dense same-class competition
-#: (same shape as ``test_vectorized_speedup``; scale-independent on purpose,
-#: so the recorded trajectory stays comparable across runs).
+#: (scale-independent on purpose, so the recorded trajectory stays comparable
+#: across runs).
 FIGURE6_CONFIG = SyntheticConfig(
     num_users=40, num_items=60, num_classes=4, candidates_per_user=30,
     horizon=10, display_limit=6, beta=0.6, seed=0,
@@ -52,12 +52,18 @@ _RECORD_PATH = os.path.join(
 )
 
 
+#: The sections this module writes; nothing else is carried forward, so keys
+#: of a deleted measurement do not linger in the record.
+_SECTIONS = ("batched_seeding", "parallel_rl_greedy")
+
+
 def _record(section: str, payload: dict) -> None:
     """Merge one section into ``BENCH_selection.json`` (atomic write)."""
-    document = {}
+    previous = {}
     if os.path.exists(_RECORD_PATH):
         with open(_RECORD_PATH) as handle:
-            document = json.load(handle)
+            previous = json.load(handle)
+    document = {name: previous[name] for name in _SECTIONS if name in previous}
     document[section] = payload
     document["scale"] = bench_scale()
     write_bench_json(_RECORD_PATH, document)

@@ -1,30 +1,8 @@
-"""Speedup of the NumPy revenue engine over the pure-Python seed engine.
+"""Speedup of the NumPy revenue kernel over the pure-Python reference kernel.
 
-Two measurements, both recorded as the ``speedup`` trajectory the roadmap's
-BENCH records track over time:
-
-* **engine workload** -- a greedy-shaped access pattern on a Figure-6
-  synthetic instance: eager marginal-revenue sweeps over a candidate pool
-  while the strategy is built, followed by re-evaluation rounds over the
-  finished strategy (the pattern RL-Greedy's permutation scoring, the
-  lazy-forward refreshes and the experiment harness all exhibit).  The
-  workload runs once with the seed engine (``backend="python",
-  cache=False``) and once with the default engine (``backend="numpy"`` +
-  incremental group cache), makes the identical sequence of ``RevenueModel``
-  calls, must select the identical triples, and the wall-clock ratio is the
-  recorded speedup.  The ISSUE gate is >= 5x: the incremental cache turns
-  repeated "before" evaluations into dictionary hits and the vectorized
-  kernel accelerates the dense-group recomputations.
-* **kernel microbenchmark** -- a single large (user, class) group evaluated
-  by both kernels directly, isolating the pure vectorization win (the O(n^2)
-  pairwise matrices dominate and NumPy wins by an order of magnitude).
-
-The engine instance uses the Figure-6 synthetic generator with the adoption
-probabilities scaled down to recommender-realistic magnitudes (a top-N
-recommender rarely predicts 50% adoption); lower per-triple probabilities
-keep marginal revenues positive for longer, so the greedy builds the dense
-(user, class) groups -- up to ``display_limit * horizon`` triples -- where
-group evaluation is genuinely expensive.
+A single large (user, class) group is evaluated by both kernels directly,
+isolating the pure vectorization win (the O(n^2) pairwise matrices dominate
+and NumPy wins by an order of magnitude).  The gate is >= 5x.
 """
 
 from __future__ import annotations
@@ -35,137 +13,14 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.constraints import ConstraintChecker
 from repro.core.entities import Triple
-from repro.core.problem import AdoptionTable, RevMaxInstance
-from repro.core.revenue import RevenueModel, group_revenue
-from repro.core.strategy import Strategy
+from repro.core.problem import RevMaxInstance
+from repro.core.revenue import group_revenue
 from repro.core.vectorized import vectorized_group_revenue
-from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_instance
-
-#: Figure-6 generator knobs, biased towards dense same-class competition.
-FIGURE6_CONFIG = SyntheticConfig(
-    num_users=40, num_items=60, num_classes=4, candidates_per_user=30,
-    horizon=10, display_limit=6, beta=0.6, seed=0,
-)
-
-#: Factor applied to the generator's adoption probabilities (see module doc).
-ADOPTION_SCALE = 0.15
-
-#: Workload shape: candidate-pool size, greedy additions, re-evaluation rounds.
-SWEEP_CANDIDATES = 300
-SWEEP_STEPS = 40
-AUDIT_ROUNDS = 30
-
-
-def _dense_figure6_instance() -> RevMaxInstance:
-    """Figure-6 synthetic instance with recommender-scale adoption rates."""
-    instance = generate_synthetic_instance(FIGURE6_CONFIG)
-    table = AdoptionTable(instance.horizon)
-    for user, item in instance.adoption.pairs():
-        table.set(user, item, instance.adoption.get(user, item) * ADOPTION_SCALE)
-    return RevMaxInstance(
-        num_users=instance.num_users,
-        catalog=instance.catalog,
-        horizon=instance.horizon,
-        display_limit=instance.display_limit,
-        prices=instance.prices,
-        capacities=instance.capacities,
-        betas=instance.betas,
-        adoption=table,
-        name=f"{instance.name}-sparse-adoption",
-    )
-
-
-def _sweep_workload(instance, model):
-    """Greedy build + re-evaluation rounds; returns (triples, checksum, time).
-
-    The checksum accumulates every revenue and marginal revenue the workload
-    computes, so the two engines can be checked for numerical agreement call
-    by call, not just on the end state.
-    """
-    candidates = sorted(instance.candidate_triples())[:SWEEP_CANDIDATES]
-    checker = ConstraintChecker(instance)
-    strategy = Strategy(instance.catalog)
-    checksum = 0.0
-    start = time.perf_counter()
-    for _ in range(SWEEP_STEPS):
-        best, best_value = None, 0.0
-        for triple in candidates:
-            if triple in strategy:
-                continue
-            value = model.marginal_revenue(strategy, triple)
-            checksum += value
-            if value > best_value and checker.can_add(strategy, triple):
-                best, best_value = triple, value
-        if best is None:
-            break
-        strategy.add(best)
-    for _ in range(AUDIT_ROUNDS):
-        checksum += model.revenue(strategy)
-        for triple in candidates:
-            if triple not in strategy:
-                checksum += model.marginal_revenue(strategy, triple)
-    elapsed = time.perf_counter() - start
-    return strategy.triples(), checksum, elapsed
-
-
-def _run_engine_comparison(instance):
-    python_model = RevenueModel(instance, backend="python", cache=False)
-    numpy_model = RevenueModel(instance, backend="numpy")
-    python_triples, python_checksum, python_seconds = _sweep_workload(
-        instance, python_model
-    )
-    numpy_triples, numpy_checksum, numpy_seconds = _sweep_workload(
-        instance, numpy_model
-    )
-    return {
-        "python_seconds": python_seconds,
-        "numpy_seconds": numpy_seconds,
-        "speedup": python_seconds / numpy_seconds,
-        "python_triples": python_triples,
-        "numpy_triples": numpy_triples,
-        "python_checksum": python_checksum,
-        "numpy_checksum": numpy_checksum,
-        "python_evaluations": python_model.evaluations,
-        "numpy_evaluations": numpy_model.evaluations,
-        "numpy_cache_hits": numpy_model.cache_hits,
-    }
-
-
-def test_vectorized_engine_speedup(benchmark):
-    instance = _dense_figure6_instance()
-    stats = run_once(benchmark, _run_engine_comparison, instance)
-
-    print(
-        f"\nengine workload on {instance.name} "
-        f"({instance.num_candidate_triples():,} candidate triples)"
-    )
-    print(
-        f"python engine:  {stats['python_seconds']:.3f}s "
-        f"({stats['python_evaluations']:,} kernel evaluations)"
-    )
-    print(
-        f"numpy engine:   {stats['numpy_seconds']:.3f}s "
-        f"({stats['numpy_evaluations']:,} kernel evaluations, "
-        f"{stats['numpy_cache_hits']:,} cache hits)"
-    )
-    print(f"speedup: {stats['speedup']:.1f}x")
-
-    # Identical behaviour: same selected triples, same numbers call by call.
-    assert stats["numpy_triples"] == stats["python_triples"]
-    assert stats["numpy_checksum"] == pytest.approx(
-        stats["python_checksum"], rel=1e-9
-    )
-    # The cache did real work and the counter only counted kernel work.
-    assert stats["numpy_cache_hits"] > stats["numpy_evaluations"]
-    assert stats["numpy_evaluations"] < stats["python_evaluations"]
-    # The ISSUE acceptance gate.
-    assert stats["speedup"] >= 5.0
 
 
 def test_vectorized_kernel_speedup(benchmark):
-    """Pure kernel ratio on one large (user, class) group (no cache at play)."""
+    """Pure kernel ratio on one large (user, class) group."""
     num_items, horizon = 24, 16
     rng = np.random.default_rng(0)
     instance = RevMaxInstance.from_dense_adoption(

@@ -40,8 +40,8 @@ class AlgorithmResult:
         growth_curve: optional list of ``(strategy size, revenue)`` checkpoints
             recorded while the strategy was being built (Figure 4).
         evaluations: number of group-revenue kernel evaluations the solve
-            actually computed (the revenue engine's cache hits are excluded;
-            see :attr:`repro.core.revenue.RevenueModel.evaluations`).
+            computed (see
+            :attr:`repro.core.revenue.RevenueModel.evaluations`).
         extras: free-form algorithm-specific diagnostics.
     """
 

@@ -201,17 +201,25 @@ class RandomizedLocalGreedy(RevMaxAlgorithm):
 
     def _run_serial(self, instance: RevMaxInstance,
                     orders: Sequence[Tuple[int, ...]]):
-        """Evaluate every permutation in-process (shared scoring cache)."""
+        """Evaluate every permutation in-process.
+
+        The counters add each permutation's selection work to the scoring
+        of its strategy, exactly as the parallel path sums its workers'.
+        """
         model = RevenueModel(instance, backend=self.backend)
         runner = SequentialLocalGreedy(backend=self.backend)
         outcomes = []
+        evaluations = lookups = 0
         for order in orders:
             strategy = runner.build_strategy(instance, time_order=order)
             revenue = model.revenue(strategy)
             outcomes.append(
                 (order, strategy, revenue, list(runner.last_growth_curve))
             )
-        return outcomes, model.evaluations, model.lookups
+            evaluations += runner.last_evaluations
+            lookups += runner.last_lookups
+        return (outcomes, evaluations + model.evaluations,
+                lookups + model.lookups)
 
     def _run_parallel(self, instance: RevMaxInstance,
                       orders: Sequence[Tuple[int, ...]], jobs: int):

@@ -386,10 +386,9 @@ class CompiledInstance:
         compilation inside a :class:`~repro.core.problem.RevMaxInstance`
         should go through :func:`repro.dynamic.apply_delta`, which keeps the
         instance's adoption-table version and tensor references in sync (and
-        handles dict-backed tables); callers holding live
-        :class:`~repro.core.revenue.RevenueModel` caches must invalidate the
-        dirty entries (see
-        :class:`repro.dynamic.incremental.IncrementalSolver`).
+        handles dict-backed tables).  A live
+        :class:`~repro.core.revenue.RevenueModel` memoises nothing, so it
+        reads the patched values at its next call.
 
         Args:
             delta: an :class:`repro.dynamic.delta.InstanceDelta`.

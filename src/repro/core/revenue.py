@@ -20,15 +20,13 @@ earlier recommendations, which reproduces the paper's convention that
 
 The module-level functions are the pure-Python *reference* kernels.
 :class:`RevenueModel` dispatches between them and the NumPy-vectorized
-kernels of :mod:`repro.core.vectorized` via its ``backend`` argument, and
-layers an incremental per-group cache on top; see the class docstring for
-the exact contract.
+kernels of :mod:`repro.core.vectorized` via its ``backend`` argument.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.entities import Triple
 from repro.core.problem import RevMaxInstance
@@ -158,36 +156,22 @@ class RevenueModel:
     §7) can be swapped in by subclassing and overriding
     :meth:`group_revenue`.
 
-    Two engine knobs sit behind the unchanged interface:
-
-    * ``backend`` selects the group-revenue kernel -- ``"numpy"`` (the
-      vectorized kernels of :mod:`repro.core.vectorized`, the default) or
-      ``"python"`` (the reference scalar loops of this module).  ``None``
-      means numpy.  The numpy backend dispatches adaptively: groups smaller
-      than :data:`VECTORIZE_MIN_GROUP` run the scalar loops
-      (array-construction overhead would dominate), larger groups run the
-      broadcasting kernel.
-    * ``cache`` enables the *incremental group cache*: group revenues are
-      memoised keyed on the group's membership (a frozenset of triples), so
-      a marginal-revenue call recomputes only the extended "after" group and
-      reuses the unchanged "before" value -- and once the triple is actually
-      added, the "after" value becomes the next call's "before" hit.
-
-    Cache-invalidation contract: there is none to perform.  Keys are the
-    group membership itself and the instance is immutable, so an entry can
-    never go stale -- mutating a :class:`Strategy` simply makes subsequent
-    lookups use different keys.  :meth:`clear_cache` exists purely to bound
-    memory; when the cache exceeds ``max_cache_entries`` it is cleared
-    wholesale (entries are cheap to recompute and a wholesale clear keeps
-    the bookkeeping O(1)).
+    The model memoises nothing: every group revenue is computed from the
+    instance as it is at the call, so a model that lives across a mutation
+    of the instance (e.g. :func:`repro.dynamic.apply_delta`) reads the new
+    values.  The paper's savings come from lazy forward re-scoring only
+    stale heap entries (§5.1), not from remembering group revenues.
 
     Args:
-        instance: the REVMAX instance to evaluate (treated as immutable).
-        backend: ``"numpy"``, ``"python"`` or ``None`` (numpy).
-        cache: enable the incremental group cache (default ``True``).
-            ``RevenueModel(instance, backend="python", cache=False)``
-            reproduces the original pure-Python engine exactly.
-        max_cache_entries: memory bound on the number of memoised groups.
+        instance: the REVMAX instance to evaluate.
+        backend: the group-revenue kernel -- ``"numpy"`` (the vectorized
+            kernels of :mod:`repro.core.vectorized`), ``"python"`` (the
+            reference scalar loops of this module, the executable
+            specification) or ``None`` (numpy).  The numpy backend
+            dispatches adaptively: groups smaller than
+            :data:`VECTORIZE_MIN_GROUP` run the scalar loops
+            (array-construction overhead would dominate), larger groups run
+            the broadcasting kernel.
         compiled: feed the numpy kernels their group gathers from the
             instance's columnar compilation (:mod:`repro.core.compiled`).
             ``None``/``True`` compile lazily (cached on the instance) when
@@ -198,7 +182,6 @@ class RevenueModel:
     """
 
     def __init__(self, instance: RevMaxInstance, backend: Optional[str] = None,
-                 cache: bool = True, max_cache_entries: int = 1_000_000,
                  compiled: Optional[bool] = None) -> None:
         self._instance = instance
         self._backend = resolve_backend(backend)
@@ -212,10 +195,7 @@ class RevenueModel:
                                    compiled=self._compiled)
         else:
             self._kernel = kernel_for_backend(self._backend)
-        self._cache: Optional[Dict[FrozenSet[Triple], float]] = {} if cache else None
-        self._max_cache_entries = int(max_cache_entries)
         self._evaluations = 0
-        self._cache_hits = 0
         self._lookups = 0
         # The grouped batch path assumes the reference revenue decomposition;
         # subclasses that override the group or marginal semantics (e.g. the
@@ -238,69 +218,52 @@ class RevenueModel:
 
     @property
     def evaluations(self) -> int:
-        """Number of group revenues actually *computed* (profiling aid).
+        """Number of group revenues the kernel computed (profiling aid).
 
-        The counter measures work done by the revenue kernel: it increments
-        once per :meth:`group_revenue` call that reaches the kernel and **not**
-        on cache hits.  This keeps the lazy-forward / two-level-heap ablation
-        benchmarks meaningful -- they compare how many evaluations each
-        algorithm *needs*, which must not be inflated by lookups the cache
-        answered for free.  With ``cache=False`` every call reaches the kernel
-        and the counter equals the number of ``group_revenue`` calls (the
-        historical semantics).  Cache hits are reported separately by
-        :attr:`cache_hits`.
+        One per :meth:`group_revenue` call, plus, per (user, class) bucket
+        of a :meth:`marginal_revenue_batch`, one for the shared "before"
+        group (when it is non-empty) and one per candidate scored.
         """
         return self._evaluations
 
     @property
     def cache_hits(self) -> int:
-        """Number of :meth:`group_revenue` calls answered from the cache."""
-        return self._cache_hits
+        """Always 0: the model memoises nothing.
+
+        Kept read-only so that ``bench/trace.py``, which reads it from every
+        model it settles, keeps working until the benchmark drops its
+        ``revenue.cache_hits`` metrics.
+        """
+        return 0
 
     @property
     def lookups(self) -> int:
         """Number of group-revenue values the *caller requested*.
 
         This is the quantity an algorithmic device such as lazy forward
-        reduces, whereas :attr:`evaluations` is the number the engine actually
-        had to compute.  The ablation benchmarks compare lookups so that their
-        verdict on the algorithms is independent of the engine's cache.
+        reduces, independent of how the engine buckets its work; the
+        ablation benchmarks compare lookups.
 
         Counting rules: every :meth:`group_revenue` call is one lookup (so a
         scalar :meth:`marginal_revenue` costs two -- before and after), and a
         :meth:`marginal_revenue_batch` over ``k`` not-yet-selected candidates
-        costs exactly ``k`` lookups -- one per candidate scored, regardless of
-        how the engine buckets the batch internally.  Because the batch path
-        shares each bucket's "before" value instead of requesting it per
-        candidate, ``lookups`` is **not** in general equal to
-        ``evaluations + cache_hits`` once batched scoring is in play.
+        costs exactly ``k`` lookups -- one per candidate scored.  The batch
+        path computes each bucket's shared "before" value once instead of per
+        candidate, so ``lookups`` and :attr:`evaluations` differ once batched
+        scoring is in play.
         """
         return self._lookups
 
-    def cache_info(self) -> Dict[str, int]:
-        """Return cache statistics: size, hits and kernel evaluations."""
-        return {
-            "size": len(self._cache) if self._cache is not None else 0,
-            "hits": self._cache_hits,
-            "evaluations": self._evaluations,
-        }
-
-    def clear_cache(self) -> None:
-        """Drop every memoised group revenue (frees memory; never required)."""
-        if self._cache is not None:
-            self._cache.clear()
-
     def reset_counters(self) -> None:
-        """Reset the evaluation, cache-hit and lookup counters."""
+        """Reset the evaluation and lookup counters."""
         self._evaluations = 0
-        self._cache_hits = 0
         self._lookups = 0
 
     # ------------------------------------------------------------------
     # group-level primitives (override points)
     # ------------------------------------------------------------------
     def group_revenue(self, group: Sequence[Triple]) -> float:
-        """Expected revenue of one (user, class) group (memoised)."""
+        """Expected revenue of one (user, class) group."""
         self._lookups += 1
         return self._group_revenue_internal(group)
 
@@ -313,10 +276,7 @@ class RevenueModel:
         path -- reading the live table like the pre-compilation engine --
         rather than recompiling, which would cost O(n_pairs) per mutation
         round and turn interleaved mutate/evaluate workloads quadratic.
-        Models built after the mutations compile fresh tensors again.  (The
-        group *cache* intentionally keeps its no-invalidation contract: it
-        assumes the instance is treated as immutable; disable it when
-        mutating tables mid-flight.)
+        Models built after the mutations compile fresh tensors again.
         """
         compiled = self._compiled
         if compiled is None:
@@ -327,30 +287,14 @@ class RevenueModel:
             self._kernel = kernel_for_backend(self._backend)
 
     def _group_revenue_internal(self, group: Sequence[Triple]) -> float:
-        """Memoised group revenue without touching the lookup counter.
+        """Group revenue without touching the lookup counter.
 
         The batch path uses this for the shared per-bucket "before" value,
         which is engine bookkeeping rather than a caller-requested score.
         """
         self._refresh_compiled()
-        if self._cache is None:
-            self._evaluations += 1
-            return self._kernel(self._instance, group)
-        key = frozenset(group)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache_hits += 1
-            return cached
         self._evaluations += 1
-        value = self._kernel(self._instance, group)
-        self._cache_store(key, value)
-        return value
-
-    def _cache_store(self, key: FrozenSet[Triple], value: float) -> None:
-        """Insert into the cache, clearing wholesale at the memory bound."""
-        if len(self._cache) >= self._max_cache_entries:
-            self._cache.clear()
-        self._cache[key] = value
+        return self._kernel(self._instance, group)
 
     # ------------------------------------------------------------------
     # strategy-level quantities
@@ -379,10 +323,7 @@ class RevenueModel:
         """Return ``Rev_S(z) = Rev(S + z) - Rev(S)`` (Definition 3).
 
         Only the (user, class) group of ``z`` changes when ``z`` is added, so
-        the difference is evaluated locally on that group.  With the group
-        cache enabled the "before" value is almost always a hit (the group
-        was evaluated by an earlier call against the same strategy), so a
-        marginal-revenue call typically costs one kernel evaluation, not two.
+        the difference is evaluated locally on that group.
         """
         triple = Triple(*triple)
         if triple in strategy:
@@ -399,7 +340,7 @@ class RevenueModel:
 
         Semantically identical to calling :meth:`marginal_revenue` per triple
         (triples already in the strategy score 0.0), but executed per
-        (user, class) *bucket*: the shared "before" group revenue is fetched
+        (user, class) *bucket*: the shared "before" group revenue is computed
         once per bucket, and the "after" revenues of all of a bucket's
         candidates are evaluated by
         :func:`repro.core.vectorized.vectorized_extended_group_revenues` in a
@@ -409,8 +350,8 @@ class RevenueModel:
         :class:`repro.core.selection.LazyGreedySelector` run on.
 
         Counters: a batch over ``k`` not-yet-selected candidates adds exactly
-        ``k`` to :attr:`lookups`; :attr:`evaluations` grows only by the kernel
-        rows actually computed (cache-answered rows count as cache hits).
+        ``k`` to :attr:`lookups`; :attr:`evaluations` grows by ``k`` plus one
+        per bucket with a non-empty "before" group.
 
         Subclasses that override :meth:`group_revenue` or
         :meth:`marginal_revenue` automatically fall back to the scalar
@@ -440,32 +381,14 @@ class RevenueModel:
     def _extended_group_revenues(
         self, group: List[Triple], candidates: List[Triple]
     ) -> List[float]:
-        """Cache-aware ``group_revenue(group + [c])`` for each candidate.
+        """``group_revenue(group + [c])`` for each candidate.
 
-        Cached extensions are answered from the memoised groups; the misses
-        go to the broadcasted kernel in one launch when the bucket carries
-        enough arithmetic (the same ``VECTORIZE_MIN_GROUP`` work threshold as
-        the adaptive scalar dispatch, scaled by the batch size), otherwise to
-        the backend's scalar kernel per candidate.
+        The candidates go to the broadcasted kernel in one launch when the
+        bucket carries enough arithmetic (the same ``VECTORIZE_MIN_GROUP``
+        work threshold as the adaptive scalar dispatch, scaled by the batch
+        size), otherwise to the backend's scalar kernel per candidate.
         """
         self._refresh_compiled()
-        values = [0.0] * len(candidates)
-        base_key = frozenset(group) if self._cache is not None else None
-        if self._cache is None:
-            pending = list(candidates)
-            pending_slots = list(range(len(candidates)))
-        else:
-            pending, pending_slots = [], []
-            for slot, candidate in enumerate(candidates):
-                cached = self._cache.get(base_key | {candidate})
-                if cached is not None:
-                    self._cache_hits += 1
-                    values[slot] = cached
-                else:
-                    pending.append(candidate)
-                    pending_slots.append(slot)
-        if not pending:
-            return values
         # One broadcasted launch replaces ``m`` scalar evaluations of
         # O((n+1)^2) pairwise work each; it pays off once that total work
         # clears the same crossover as the adaptive per-group dispatch
@@ -474,25 +397,20 @@ class RevenueModel:
         # kernel avoids the array-construction overhead.
         use_batched_kernel = (
             self._backend == "numpy"
-            and len(pending) * (len(group) + 1) ** 2
+            and len(candidates) * (len(group) + 1) ** 2
             >= VECTORIZE_MIN_GROUP ** 2
         )
         if use_batched_kernel:
             computed = vectorized_extended_group_revenues(
-                self._instance, group, pending, self._compiled
+                self._instance, group, candidates, self._compiled
             )
         else:
             computed = [
                 self._kernel(self._instance, group + [candidate])
-                for candidate in pending
+                for candidate in candidates
             ]
-        self._evaluations += len(pending)
-        for slot, candidate, value in zip(pending_slots, pending, computed):
-            value = float(value)
-            values[slot] = value
-            if self._cache is not None:
-                self._cache_store(base_key | {candidate}, value)
-        return values
+        self._evaluations += len(candidates)
+        return [float(value) for value in computed]
 
     def marginal_revenue_components(
         self, strategy: Strategy, triple: Triple

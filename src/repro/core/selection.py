@@ -30,7 +30,7 @@ lazy-forward skeleton:
 Candidate scoring is batched: heap seeding and per-group refreshes go
 through :meth:`repro.core.revenue.RevenueModel.marginal_revenue_batch`, so a
 refresh of one (user, item) group is a single broadcasted kernel pass
-sharing the cached "before" group revenue instead of one kernel launch per
+sharing one "before" group revenue instead of one kernel launch per
 candidate time step.
 
 Columnar seeding

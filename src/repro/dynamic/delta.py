@@ -198,8 +198,8 @@ class InstanceDelta:
         """(user, item) pairs whose primitive probabilities can change.
 
         Probability updates and every pair of a new user.  This is the pair
-        half of the *dirty frontier*: any cached group revenue involving one
-        of these pairs is stale after the delta.
+        half of the *dirty frontier*: any group revenue involving one of
+        these pairs may change with the delta.
         """
         touched = set(self.probability_updates)
         for user, pairs in self.new_users.items():

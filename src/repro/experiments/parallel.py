@@ -20,9 +20,8 @@ and both are embarrassingly parallel:
 Workers receive the (large) instance once through the pool initializer, not
 once per task.  Every worker computes with its own ``RevenueModel``; the
 arithmetic is deterministic, so revenues agree bit-for-bit with the serial
-path.  Evaluation *counters* may differ from a serial run (workers do not
-share the parent's incremental group cache); compare revenues and
-strategies across job counts, not counter totals.
+path, and the summed evaluation and lookup counters equal the serial
+run's.
 """
 
 from __future__ import annotations
@@ -59,8 +58,9 @@ class PermutationRun:
             lists -- and therefore every downstream kernel summation --
             match the worker's exactly.
         growth_curve: the run's ``(size, revenue)`` checkpoints.
-        evaluations: kernel evaluations of the worker's scoring model.
-        lookups: group-revenue lookups of the worker's scoring model.
+        evaluations: kernel evaluations of the run: its selection plus the
+            scoring of its strategy.
+        lookups: group-revenue lookups of the run, counted the same way.
     """
 
     order: Tuple[int, ...]
@@ -94,8 +94,8 @@ def _run_permutation(order: Tuple[int, ...]) -> PermutationRun:
         revenue=revenue,
         triples=[tuple(z) for _, group in strategy.groups() for z in group],
         growth_curve=list(runner.last_growth_curve),
-        evaluations=model.evaluations,
-        lookups=model.lookups,
+        evaluations=runner.last_evaluations + model.evaluations,
+        lookups=runner.last_lookups + model.lookups,
     )
 
 

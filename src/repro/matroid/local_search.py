@@ -22,7 +22,7 @@ R-REVMAX effective revenue through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Hashable, Iterable, Optional, Set
+from typing import Callable, Hashable, Iterable, Optional, Set
 
 from repro.matroid.matroid import Matroid
 from repro.matroid.submodular import MemoizedSetFunction
@@ -41,7 +41,7 @@ class LocalSearchResult:
         evaluations: number of distinct objective evaluations used.
     """
 
-    solution: FrozenSet[Hashable]
+    solution: frozenset[Hashable]
     value: float
     moves: int
     evaluations: int

@@ -17,7 +17,7 @@ carries the REVMAX-specific construction of Lemma 2.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Hashable, Iterable, Set
+from typing import Hashable, Iterable, Set
 
 __all__ = ["Matroid", "UniformMatroid", "FreeMatroid"]
 
@@ -27,7 +27,7 @@ class Matroid(ABC):
 
     @property
     @abstractmethod
-    def ground_set(self) -> FrozenSet[Hashable]:
+    def ground_set(self) -> frozenset[Hashable]:
         """The ground set ``X``."""
 
     @abstractmethod
@@ -100,7 +100,7 @@ class UniformMatroid(Matroid):
         self._rank = rank
 
     @property
-    def ground_set(self) -> FrozenSet[Hashable]:
+    def ground_set(self) -> frozenset[Hashable]:
         return self._ground
 
     @property
@@ -122,7 +122,7 @@ class FreeMatroid(Matroid):
         self._ground = frozenset(ground_set)
 
     @property
-    def ground_set(self) -> FrozenSet[Hashable]:
+    def ground_set(self) -> frozenset[Hashable]:
         return self._ground
 
     def is_independent(self, subset: Iterable[Hashable]) -> bool:

@@ -12,7 +12,7 @@ that construction for a concrete instance.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Optional
+from typing import Callable, Dict, Hashable, Iterable, Optional
 
 from repro.core.problem import RevMaxInstance
 from repro.matroid.matroid import Matroid
@@ -48,7 +48,7 @@ class PartitionMatroid(Matroid):
         self._default_capacity = default_capacity
 
     @property
-    def ground_set(self) -> FrozenSet[Hashable]:
+    def ground_set(self) -> frozenset[Hashable]:
         return self._ground
 
     def block(self, element: Hashable) -> Hashable:

@@ -10,7 +10,7 @@ small instances (and by property-based tests on random instances).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 __all__ = [
     "MemoizedSetFunction",
@@ -19,7 +19,7 @@ __all__ = [
     "find_submodularity_violation",
 ]
 
-SetFunction = Callable[[FrozenSet[Hashable]], float]
+SetFunction = Callable[[frozenset[Hashable]], float]
 
 
 class MemoizedSetFunction:
@@ -32,7 +32,7 @@ class MemoizedSetFunction:
 
     def __init__(self, function: Callable[[Iterable[Hashable]], float]) -> None:
         self._function = function
-        self._cache: Dict[FrozenSet[Hashable], float] = {}
+        self._cache: Dict[frozenset[Hashable], float] = {}
         self._evaluations = 0
 
     @property
@@ -65,7 +65,7 @@ def find_submodularity_violation(
     ground_set: Iterable[Hashable],
     tolerance: float = 1e-9,
     max_subset_size: Optional[int] = None,
-) -> Optional[Tuple[FrozenSet[Hashable], FrozenSet[Hashable], Hashable]]:
+) -> Optional[Tuple[frozenset[Hashable], frozenset[Hashable], Hashable]]:
     """Search exhaustively for a violation of diminishing returns.
 
     Returns the first ``(S, S', w)`` with ``S subset of S'`` and

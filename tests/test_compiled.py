@@ -271,19 +271,37 @@ class TestEngineEquivalence:
         )
         group = [z for z in instance.candidate_triples() if z.user == 0][:35]
         strategy = Strategy(instance.catalog, group)
-        model = RevenueModel(instance, backend="numpy", cache=False)
+        model = RevenueModel(instance)
         model.revenue(strategy)  # compiles the pre-mutation tensors
         instance.adoption.set(0, 0, np.full(12, 0.9))
         after = model.revenue(strategy)
-        assert after == RevenueModel(
-            instance, backend="numpy", cache=False
-        ).revenue(strategy)
+        assert after == RevenueModel(instance).revenue(strategy)
         assert after == pytest.approx(
-            RevenueModel(instance, backend="python", cache=False).revenue(
-                strategy
-            ),
+            RevenueModel(instance, backend="python").revenue(strategy),
             rel=1e-9,
         )
+
+        # The same through a delta on a columnar instance, whose compiled
+        # tensors are patched in place rather than dropped.
+        from repro.datasets.synthetic import (
+            SyntheticConfig, generate_synthetic_columnar,
+        )
+        from repro.dynamic import InstanceDelta, apply_delta
+
+        instance = generate_synthetic_columnar(SyntheticConfig(
+            num_users=60, num_items=20, num_classes=4,
+            candidates_per_user=6, horizon=4, seed=3,
+        ))
+        strategy = GlobalGreedy().run(instance).strategy
+        model = RevenueModel(instance)
+        before = model.revenue(strategy)
+        user, item, _ = strategy.sorted_triples()[0]
+        apply_delta(instance, InstanceDelta(
+            probability_updates={(user, item): np.full(4, 0.9)},
+        ))
+        after = model.revenue(strategy)
+        assert after != before
+        assert after == RevenueModel(instance).revenue(strategy)
 
     def test_tied_priorities_identical_across_all_paths(self):
         # Exact priority ties must break identically whichever path seeds

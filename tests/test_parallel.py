@@ -12,7 +12,10 @@ import os
 
 import pytest
 
-from repro.algorithms.local_greedy import RandomizedLocalGreedy
+from repro.algorithms.local_greedy import (
+    RandomizedLocalGreedy,
+    SequentialLocalGreedy,
+)
 from repro.experiments import harness
 from repro.experiments.harness import (
     experiment_records,
@@ -113,6 +116,22 @@ class TestParallelPermutations:
         assert parallel.last_extras["best_order"] == serial.last_extras["best_order"]
         assert parallel.last_growth_curve == serial.last_growth_curve
         assert parallel.last_extras["jobs"] == 2
+
+    def test_rl_greedy_counters_cover_every_permutation(self, tiny_amazon_pipeline):
+        # The counters add each permutation's selection work to its scoring,
+        # so they match across job counts and cover at least one SL-Greedy
+        # run (the chronological order is always among the permutations).
+        instance = tiny_amazon_pipeline.instance
+        serial = RandomizedLocalGreedy(num_permutations=4, seed=0)
+        parallel = RandomizedLocalGreedy(num_permutations=4, seed=0, jobs=2)
+        single = SequentialLocalGreedy()
+        serial.build_strategy(instance)
+        parallel.build_strategy(instance)
+        single.build_strategy(instance)
+        assert parallel.last_evaluations == serial.last_evaluations
+        assert parallel.last_lookups == serial.last_lookups
+        assert serial.last_evaluations >= single.last_evaluations
+        assert serial.last_lookups >= single.last_lookups
 
     def test_rl_greedy_jobs_zero_means_one_per_core(self, tiny_amazon_pipeline):
         instance = tiny_amazon_pipeline.instance

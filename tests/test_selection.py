@@ -3,8 +3,7 @@
 Two equivalence ladders anchor the refactor:
 
 * ``marginal_revenue_batch`` must agree with scalar ``marginal_revenue``
-  to 1e-9 on random instances, on both backends, with and without the
-  group cache;
+  to 1e-9 on random instances, on both backends;
 * every solver built on :class:`LazyGreedySelector` must reproduce, triple
   for triple, both a transparent reference greedy (argmax re-scoring every
   candidate at every step -- no heaps, no laziness) and its own output
@@ -42,8 +41,7 @@ def _random_strategy(instance, rng, size):
 
 class TestMarginalRevenueBatch:
     @pytest.mark.parametrize("backend", ["numpy", "python"])
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_matches_scalar_on_random_instances(self, backend, cache):
+    def test_matches_scalar_on_random_instances(self, backend):
         for seed in range(8):
             instance = build_random_instance(
                 num_users=4, num_items=6, num_classes=2, horizon=4,
@@ -52,8 +50,8 @@ class TestMarginalRevenueBatch:
             rng = np.random.default_rng(seed)
             strategy = _random_strategy(instance, rng, size=6)
             candidates = sorted(instance.candidate_triples())
-            scalar_model = RevenueModel(instance, backend=backend, cache=cache)
-            batch_model = RevenueModel(instance, backend=backend, cache=cache)
+            scalar_model = RevenueModel(instance, backend=backend)
+            batch_model = RevenueModel(instance, backend=backend)
             scalar = [
                 scalar_model.marginal_revenue(strategy, z) for z in candidates
             ]
@@ -76,18 +74,18 @@ class TestMarginalRevenueBatch:
         # The two already-selected triples are answered without scoring.
         assert model.lookups == len(candidates) - 2
 
-    def test_evaluations_count_only_computed_rows(self, small_instance):
+    def test_repeated_batch_recomputes_every_row(self, small_instance):
         model = RevenueModel(small_instance)
         candidates = sorted(small_instance.candidate_triples())
         strategy = Strategy(small_instance.catalog)
         first = model.marginal_revenue_batch(strategy, candidates)
         computed = model.evaluations
         assert computed > 0
-        # A second identical batch is answered entirely from the cache.
+        # Nothing is memoised: a second identical batch computes every row
+        # again and returns the same values.
         second = model.marginal_revenue_batch(strategy, candidates)
         assert second == first
-        assert model.evaluations == computed
-        assert model.cache_hits >= len(candidates)
+        assert model.evaluations == 2 * computed
         # Lookups still count every requested candidate of both batches.
         assert model.lookups == 2 * len(candidates)
 

@@ -1,4 +1,4 @@
-"""Tests for the NumPy revenue engine and the incremental group cache.
+"""Tests for the NumPy revenue engine.
 
 Three layers of guarantees:
 
@@ -9,9 +9,9 @@ Three layers of guarantees:
   ``RevenueModel(backend="python")`` agree on revenues and marginal revenues,
   and the greedy algorithms produce *identical strategies* under either
   backend on the seed test instances;
-* cache correctness -- interleaved ``add`` / ``marginal_revenue`` calls give
-  the same answers with and without the cache, and the evaluation counter
-  counts kernel work only (cache hits are reported separately).
+* mutation safety -- interleaved ``add`` / ``marginal_revenue`` calls give
+  the same answers on both backends, and every call reaches the kernel
+  (the model memoises nothing).
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class TestModelEquivalence:
         instance = build_random_instance(seed=seed)
         chosen, rest = _random_strategy(instance, size, seed)
         strategy = Strategy(instance.catalog, chosen)
-        python_model = RevenueModel(instance, backend="python", cache=False)
+        python_model = RevenueModel(instance, backend="python")
         numpy_model = RevenueModel(instance, backend="numpy")
         assert numpy_model.revenue(strategy) == pytest.approx(
             python_model.revenue(strategy), abs=1e-9
@@ -160,12 +160,12 @@ class TestModelEquivalence:
         assert numpy_result.revenue == pytest.approx(python_result.revenue, abs=1e-9)
 
 
-class TestIncrementalCache:
+class TestMutatingStrategy:
     def test_interleaved_add_and_marginal_calls(self):
-        """Cache answers stay correct while the strategy mutates under it."""
+        """Answers stay correct while the strategy mutates between calls."""
         instance = build_random_instance(seed=3)
-        cached = RevenueModel(instance, backend="numpy", cache=True)
-        uncached = RevenueModel(instance, backend="python", cache=False)
+        numpy_model = RevenueModel(instance, backend="numpy")
+        python_model = RevenueModel(instance, backend="python")
         candidates = list(instance.candidate_triples())
         rng = np.random.default_rng(3)
         rng.shuffle(candidates)
@@ -174,97 +174,25 @@ class TestIncrementalCache:
             for probe in candidates[: 12 + 4]:
                 if probe in strategy:
                     continue
-                assert cached.marginal_revenue(strategy, probe) == pytest.approx(
-                    uncached.marginal_revenue(strategy, probe), abs=1e-9
+                assert numpy_model.marginal_revenue(strategy, probe) == pytest.approx(
+                    python_model.marginal_revenue(strategy, probe), abs=1e-9
                 )
             strategy.add(triple)
-            assert cached.revenue(strategy) == pytest.approx(
-                uncached.revenue(strategy), abs=1e-9
+            assert numpy_model.revenue(strategy) == pytest.approx(
+                python_model.revenue(strategy), abs=1e-9
             )
             if step == 5:  # removing triples must also be answered correctly
                 strategy.remove(triple)
-        assert cached.cache_hits > 0
 
-    def test_cache_hits_do_not_count_as_evaluations(self):
-        instance = build_random_instance(seed=1)
-        model = RevenueModel(instance, backend="numpy", cache=True)
-        triples, _ = _random_strategy(instance, 5, seed=1)
-        strategy = Strategy(instance.catalog, triples)
-        model.revenue(strategy)
-        first = model.evaluations
-        assert first == len(list(strategy.groups()))
-        assert model.cache_hits == 0
-        model.revenue(strategy)  # answered entirely from the cache
-        assert model.evaluations == first
-        assert model.cache_hits == first
-        info = model.cache_info()
-        assert info["size"] == first
-        assert info["hits"] == first
-        assert info["evaluations"] == first
-
-    def test_marginal_before_value_is_reused(self):
-        instance = build_random_instance(seed=2)
-        model = RevenueModel(instance, backend="numpy", cache=True)
-        candidates = list(instance.candidate_triples())
-        target = candidates[0]
-        same_group = [
-            z for z in candidates
-            if z.user == target.user
-            and instance.class_of(z.item) == instance.class_of(target.item)
-        ]
-        assert len(same_group) >= 2
-        strategy = Strategy(instance.catalog, [same_group[0]])
-        model.reset_counters()
-        model.marginal_revenue(strategy, same_group[1])  # before + after: 2 kernels
-        assert model.evaluations == 2
-        # Second probe against the same group: "before" is a cache hit.
-        probe = Triple(target.user, same_group[1].item,
-                       (same_group[1].t + 1) % instance.horizon)
-        if probe not in strategy and probe != same_group[1]:
-            model.marginal_revenue(strategy, probe)
-            assert model.evaluations == 3
-            assert model.cache_hits >= 1
-
-    def test_clear_cache_and_reset_counters(self):
-        instance = build_random_instance(seed=4)
-        model = RevenueModel(instance, backend="numpy", cache=True)
-        triples, _ = _random_strategy(instance, 4, seed=4)
-        strategy = Strategy(instance.catalog, triples)
-        model.revenue(strategy)
-        model.revenue(strategy)
-        assert model.cache_info()["size"] > 0
-        model.clear_cache()
-        assert model.cache_info()["size"] == 0
-        model.reset_counters()
-        assert model.evaluations == 0
-        assert model.cache_hits == 0
-        # Still correct after the clear.
-        assert model.revenue(strategy) == pytest.approx(
-            RevenueModel(instance, backend="python", cache=False).revenue(strategy),
-            abs=1e-9,
-        )
-
-    def test_cache_size_bound_triggers_wholesale_clear(self):
-        instance = build_random_instance(seed=5)
-        model = RevenueModel(instance, backend="numpy", cache=True,
-                             max_cache_entries=2)
-        candidates = list(instance.candidate_triples())
-        for triple in candidates[:6]:
-            model.group_revenue([triple])
-        assert model.cache_info()["size"] <= 2
-        # Values survive the evictions.
-        assert model.group_revenue([candidates[0]]) == pytest.approx(
-            group_revenue(instance, [candidates[0]]), abs=1e-12
-        )
-
-    def test_uncached_python_model_matches_seed_semantics(self):
-        """backend='python', cache=False counts every call (seed behaviour)."""
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_call_reaches_the_kernel(self, backend):
+        """Scoring the same strategy twice computes every group twice."""
         instance = build_random_instance(seed=6)
-        model = RevenueModel(instance, backend="python", cache=False)
+        model = RevenueModel(instance, backend=backend)
         triples, _ = _random_strategy(instance, 3, seed=6)
         strategy = Strategy(instance.catalog, triples)
-        model.revenue(strategy)
-        model.revenue(strategy)
+        first = model.revenue(strategy)
+        assert model.revenue(strategy) == first
         groups = len(list(strategy.groups()))
         assert model.evaluations == 2 * groups
-        assert model.cache_hits == 0
+        assert model.lookups == 2 * groups
