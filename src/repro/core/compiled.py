@@ -40,6 +40,7 @@ Entry points
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -97,6 +98,9 @@ class CompiledInstance:
         # two O(n_pairs) passes.
         self._pair_user: Optional[np.ndarray] = None
         self._keys: Optional[np.ndarray] = None
+        # List copies of user_ptr and pair_item for scalar pair_row lookups
+        # (lazy; dropped whenever the CSR grows).
+        self._row_lists: Optional[Tuple[List[int], List[int]]] = None
         if validate:
             self._validate()
         self._isolated: Optional[np.ndarray] = None
@@ -316,6 +320,7 @@ class CompiledInstance:
         # carry over.
         derived._pair_user = self._pair_user
         derived._keys = self._keys
+        derived._row_lists = self._row_lists
         derived._item_rows = self._item_rows
         return derived
 
@@ -504,9 +509,11 @@ class CompiledInstance:
         else:
             self._keys = None
         self.num_users += n_new_users
-        # Group index and item->rows index cover rows that did not exist.
+        # Group index, item->rows index and the scalar lookup lists cover
+        # rows that did not exist.
         self._groups = None
         self._item_rows = None
+        self._row_lists = None
 
     # ------------------------------------------------------------------
     # row lookups
@@ -527,13 +534,24 @@ class CompiledInstance:
         return np.where(found, position, -1)
 
     def pair_row(self, user: int, item: int) -> int:
-        """Scalar (user, item) -> pair-row lookup (-1 when absent)."""
-        if (self.num_pairs == 0 or user < 0 or user >= self.num_users
+        """Scalar (user, item) -> pair-row lookup (-1 when absent).
+
+        Bisects the user's item-sorted CSR slice in list copies of
+        ``user_ptr`` and ``pair_item``: a scalar ``np.searchsorted`` pays
+        NumPy's Python-level dispatch, several times the cost of the
+        bisection itself.  Same answers as :meth:`pair_rows`.
+        """
+        if (user < 0 or user >= self.num_users
                 or item < 0 or item >= self._key_stride):
             return -1
-        key = user * self._key_stride + item
-        position = int(np.searchsorted(self._pair_keys, key))
-        if position < self.num_pairs and self._pair_keys[position] == key:
+        lists = self._row_lists
+        if lists is None:
+            lists = self._row_lists = (self.user_ptr.tolist(),
+                                       self.pair_item.tolist())
+        user_ptr, pair_item = lists
+        stop = user_ptr[user + 1]
+        position = bisect_left(pair_item, item, user_ptr[user], stop)
+        if position < stop and pair_item[position] == item:
             return position
         return -1
 

@@ -60,11 +60,101 @@ def memory_term(group: Sequence[Triple], t: int) -> float:
     Returns:
         The memory ``sum over (u, j, tau) in group, tau < t of 1 / (t - tau)``.
     """
+    return _memory([other.t for other in group], t)
+
+
+def _memory(times: Sequence[int], t: int) -> float:
+    """Equation 1 over the group's time steps, in group order."""
     total = 0.0
-    for other in group:
-        if other.t < t:
-            total += 1.0 / (t - other.t)
+    for other_t in times:
+        if other_t < t:
+            total += 1.0 / (t - other_t)
     return total
+
+
+def _dynamic_probability(primitive: float, beta: float, item: int, t: int,
+                         items: Sequence[int], times: Sequence[int],
+                         primitives: Sequence[float]) -> float:
+    """Definition 1 for one target, on a group gathered into Python scalars.
+
+    ``items``/``times``/``primitives`` describe the target's (user, class)
+    group in group order.  A member equal to the target never counts: it is
+    not strictly earlier (no memory) and shares the target's time and item
+    (no competition).  Every evaluation path -- the reference kernels below
+    and the gathered fast path of :class:`RevenueModel` -- runs this one
+    body, so they agree bit for bit.
+    """
+    if primitive <= 0.0:
+        return 0.0
+    memory = _memory(times, t)
+    saturation = beta ** memory if memory > 0.0 else 1.0
+    survival = 1.0
+    for other_item, other_t, other_primitive in zip(items, times, primitives):
+        if other_t < t or (other_t == t and other_item != item):
+            survival *= 1.0 - other_primitive
+    return primitive * saturation * survival
+
+
+def _gathered_group_revenue(items: Sequence[int], times: Sequence[int],
+                            primitives: Sequence[float],
+                            prices: Sequence[float],
+                            betas: Sequence[float]) -> float:
+    """Definition 2 over one gathered (user, class) group, in group order."""
+    total = 0.0
+    for item, t, primitive, price, beta in zip(items, times, primitives,
+                                               prices, betas):
+        total += price * _dynamic_probability(primitive, beta, item, t,
+                                              items, times, primitives)
+    return total
+
+
+def _gather(instance: RevMaxInstance, group: Sequence[Triple]):
+    """A group's ``(items, times, primitives, prices, betas)`` as lists.
+
+    One adoption lookup per member, through the instance (the object path).
+    """
+    items = [z[1] for z in group]
+    times = [z[2] for z in group]
+    primitives = [instance.probability(z[0], z[1], z[2]) for z in group]
+    prices = [instance.price(z[1], z[2]) for z in group]
+    betas = [instance.beta(z[1]) for z in group]
+    return items, times, primitives, prices, betas
+
+
+class _CompiledGather:
+    """Gathers groups from a compilation: one ``pair_row`` per distinct pair.
+
+    Lives for one evaluation call.  Primitives come from
+    ``compiled.pair_probs`` as it is when the gather is made (a delta may
+    have replaced the tensor by a patched copy); prices and saturation
+    factors from the instance, exactly as the reference kernels read them.
+    """
+
+    def __init__(self, instance: RevMaxInstance, compiled) -> None:
+        self._pair_row = compiled.pair_row
+        self._pair_probs = compiled.pair_probs
+        self._prices = instance.prices
+        self._betas = instance.betas
+        self._rows: Dict[Tuple[int, int], int] = {}
+
+    def __call__(self, group: Sequence[Triple]):
+        rows, probabilities = self._rows, self._pair_probs
+        all_prices, all_betas = self._prices, self._betas
+        items: List[int] = []
+        times: List[int] = []
+        primitives: List[float] = []
+        prices: List[float] = []
+        betas: List[float] = []
+        for user, item, t in group:
+            row = rows.get((user, item))
+            if row is None:
+                row = rows[(user, item)] = self._pair_row(user, item)
+            items.append(item)
+            times.append(t)
+            primitives.append(probabilities.item(row, t) if row >= 0 else 0.0)
+            prices.append(all_prices.item(item, t))
+            betas.append(all_betas.item(item))
+        return items, times, primitives, prices, betas
 
 
 def group_dynamic_probability(
@@ -91,25 +181,19 @@ def group_dynamic_probability(
     primitive = instance.probability(user, item, t)
     if primitive <= 0.0:
         return 0.0
-    beta = instance.beta(item)
-    memory = memory_term(group, t)
-    saturation = beta ** memory if memory > 0.0 else 1.0
-    survival = 1.0
-    for other in group:
-        if other == target:
-            continue
-        if other.t < t or (other.t == t and other.item != item):
-            survival *= 1.0 - instance.probability(other.user, other.item, other.t)
-    return primitive * saturation * survival
+    items, times, primitives, _, _ = _gather(instance, group)
+    return _dynamic_probability(primitive, instance.beta(item), item, t,
+                                items, times, primitives)
 
 
 def group_revenue(instance: RevMaxInstance, group: Sequence[Triple]) -> float:
-    """Expected revenue contributed by one (user, class) group of triples."""
-    total = 0.0
-    for triple in group:
-        probability = group_dynamic_probability(instance, group, triple)
-        total += instance.price(triple.item, triple.t) * probability
-    return total
+    """Expected revenue contributed by one (user, class) group of triples.
+
+    The executable specification of Definitions 1-2: each member's inputs
+    are looked up once, then every member's dynamic probability is
+    evaluated against the group in group order.
+    """
+    return _gathered_group_revenue(*_gather(instance, group))
 
 
 #: Group size from which the vectorized kernel beats the scalar loops; below
@@ -125,12 +209,15 @@ def adaptive_group_revenue(instance: RevMaxInstance,
 
     Both branches implement the identical arithmetic of Definitions 1-2, so
     the dispatch is invisible apart from sub-1e-12 round-off differences.
-    The optional compiled instance feeds the vectorized branch its group
-    gathers from contiguous tensors (same floats, bit-identical results).
+    The optional compiled instance feeds both branches their group gathers
+    from contiguous tensors (same floats, bit-identical results); tiny
+    groups then run the reference body of :func:`group_revenue` on them.
     """
-    if len(group) < VECTORIZE_MIN_GROUP:
+    if len(group) >= VECTORIZE_MIN_GROUP:
+        return vectorized_group_revenue(instance, group, compiled)
+    if compiled is None:
         return group_revenue(instance, group)
-    return vectorized_group_revenue(instance, group, compiled)
+    return _gathered_group_revenue(*_CompiledGather(instance, compiled)(group))
 
 
 def kernel_for_backend(backend: Optional[str]):
@@ -349,6 +436,12 @@ class RevenueModel:
         and lazy-refresh steps of
         :class:`repro.core.selection.LazyGreedySelector` run on.
 
+        On a compiled model (numpy backend) each bucket is gathered once --
+        one ``pair_row`` per distinct (user, item) per call -- and every
+        group below :data:`VECTORIZE_MIN_GROUP` runs the reference
+        arithmetic on the gathered scalars; larger groups and batches take
+        the same vectorized kernels as before.
+
         Counters: a batch over ``k`` not-yet-selected candidates adds exactly
         ``k`` to :attr:`lookups`; :attr:`evaluations` grows by ``k`` plus one
         per bucket with a non-empty "before" group.
@@ -367,40 +460,91 @@ class RevenueModel:
                 continue
             key = (triple.user, self._instance.class_of(triple.item))
             buckets.setdefault(key, []).append(index)
+        self._refresh_compiled()
+        gather = (
+            _CompiledGather(self._instance, self._compiled)
+            if self._compiled is not None else None
+        )
         for (user, class_id), indices in buckets.items():
             group = strategy.group(user, class_id)
-            before = self._group_revenue_internal(group) if group else 0.0
-            afters = self._extended_group_revenues(
-                group, [triples[index] for index in indices]
-            )
+            candidates = [triples[index] for index in indices]
+            if gather is None:
+                before = self._group_revenue_internal(group) if group else 0.0
+                afters = self._extended_group_revenues(group, candidates)
+            else:
+                before, afters = self._gathered_bucket(group, candidates,
+                                                       gather)
             for index, after in zip(indices, afters):
                 results[index] = after - before
             self._lookups += len(indices)
         return results
 
-    def _extended_group_revenues(
-        self, group: List[Triple], candidates: List[Triple]
-    ) -> List[float]:
-        """``group_revenue(group + [c])`` for each candidate.
+    def _use_batched_kernel(self, group: List[Triple],
+                            candidates: List[Triple]) -> bool:
+        """Whether a bucket's "after" revenues take one broadcasted launch.
 
-        The candidates go to the broadcasted kernel in one launch when the
-        bucket carries enough arithmetic (the same ``VECTORIZE_MIN_GROUP``
-        work threshold as the adaptive scalar dispatch, scaled by the batch
-        size), otherwise to the backend's scalar kernel per candidate.
+        One launch replaces ``m`` scalar evaluations of O((n+1)^2) pairwise
+        work each; it pays off once that total work clears the same
+        crossover as the adaptive per-group dispatch (whose measured
+        break-even is VECTORIZE_MIN_GROUP triples, i.e.
+        VECTORIZE_MIN_GROUP^2 pairwise terms).  Below it, the scalar kernel
+        avoids the array-construction overhead -- and every extended group
+        is then smaller than VECTORIZE_MIN_GROUP.
         """
-        self._refresh_compiled()
-        # One broadcasted launch replaces ``m`` scalar evaluations of
-        # O((n+1)^2) pairwise work each; it pays off once that total work
-        # clears the same crossover as the adaptive per-group dispatch
-        # (whose measured break-even is VECTORIZE_MIN_GROUP triples, i.e.
-        # VECTORIZE_MIN_GROUP^2 pairwise terms).  Below it, the scalar
-        # kernel avoids the array-construction overhead.
-        use_batched_kernel = (
+        return (
             self._backend == "numpy"
             and len(candidates) * (len(group) + 1) ** 2
             >= VECTORIZE_MIN_GROUP ** 2
         )
-        if use_batched_kernel:
+
+    def _gathered_bucket(self, group: List[Triple], candidates: List[Triple],
+                         gather: "_CompiledGather"
+                         ) -> Tuple[float, List[float]]:
+        """"Before" and "after" revenues of one bucket on a compiled model.
+
+        The dispatch and counters of the kernel path
+        (:meth:`_group_revenue_internal` + :meth:`_extended_group_revenues`),
+        with the group gathered once for the "before" value and every
+        candidate's extension.
+        """
+        base = gather(group) if len(group) < VECTORIZE_MIN_GROUP else None
+        before = 0.0
+        if group:
+            self._evaluations += 1
+            before = (
+                _gathered_group_revenue(*base) if base is not None
+                else vectorized_group_revenue(self._instance, group,
+                                              self._compiled)
+            )
+        if self._use_batched_kernel(group, candidates):
+            afters = vectorized_extended_group_revenues(
+                self._instance, group, candidates, self._compiled
+            ).tolist()
+        else:
+            # Unbatched implies len(group) + 1 < VECTORIZE_MIN_GROUP: the
+            # adaptive kernel would run the scalar body on every extension.
+            items, times, primitives, prices, betas = base
+            afters = [
+                _gathered_group_revenue(
+                    items + [item], times + [t], primitives + [primitive],
+                    prices + [price], betas + [beta],
+                )
+                for item, t, primitive, price, beta in zip(*gather(candidates))
+            ]
+        self._evaluations += len(candidates)
+        return before, afters
+
+    def _extended_group_revenues(
+        self, group: List[Triple], candidates: List[Triple]
+    ) -> List[float]:
+        """``group_revenue(group + [c])`` for each candidate (kernel path).
+
+        The candidates go to the broadcasted kernel in one launch when
+        :meth:`_use_batched_kernel` says so, otherwise to the backend's
+        scalar kernel per candidate.
+        """
+        self._refresh_compiled()
+        if self._use_batched_kernel(group, candidates):
             computed = vectorized_extended_group_revenues(
                 self._instance, group, candidates, self._compiled
             )

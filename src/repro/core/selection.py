@@ -33,19 +33,23 @@ refresh of one (user, item) group is a single broadcasted kernel pass
 sharing one "before" group revenue instead of one kernel launch per
 candidate time step.
 
-Columnar seeding
-----------------
+The columnar loop
+-----------------
 When the caller passes ``candidates=None`` (the whole ground set) and the
 configuration is the paper default (isolated seeds, lazy forward, two-level
-frontier), seeding skips the per-triple path entirely: the instance is
-compiled into contiguous tensors (:mod:`repro.core.compiled`), seed
-priorities are the ``(n_pairs, T)`` matrix ``p(i, t) * q(u, i, t)`` computed
-in one vectorized pass, and the frontier is a
-:class:`repro.heaps.columnar.ColumnarFrontier` bulk-built from those arrays
-with lazily materialized lower heaps.  Ablation configurations and explicit
-candidate pools fall back to the per-triple seeding loop; both paths select
-identical triples (the columnar frontier reproduces the incremental heap's
-tie-breaking for the full-ground-set candidate order).
+frontier, numpy backend), :meth:`LazyGreedySelector.select` runs a loop of
+its own keyed by CSR pair row.  The instance is compiled into contiguous
+tensors (:mod:`repro.core.compiled`), seed priorities are the
+``(n_pairs, T)`` matrix ``p(i, t) * q(u, i, t)`` computed in one vectorized
+pass, and the frontier is a :class:`repro.heaps.columnar.ColumnarFrontier`
+bulk-built from those arrays, serving ``(row, t, priority)``.  Freshness
+flags are one int per row, since a refresh re-scores every live entry of a
+row at once; a ``Triple`` exists only for a pop's constraint check,
+scoring, admission and trace record.  Ablation configurations and explicit
+candidate pools run the per-triple object loop; both loops select
+identical triples with identical gains (the columnar frontier reproduces
+the incremental heap's tie-breaking for the full-ground-set candidate
+order).
 
 The algorithms in :mod:`repro.algorithms` reduce to paper-logic-only
 orchestration on top of this class; the selection mechanics live here.
@@ -156,37 +160,8 @@ def build_columnar_frontier(compiled, strategy: Strategy,
         row = compiled.pair_row(triple.user, triple.item)
         if row >= 0 and 0 <= triple.t < compiled.horizon:
             seeded[row, triple.t] = False
-    return ColumnarFrontier(
-        compiled.pair_user, compiled.pair_item, priorities, seeded,
-        row_lookup=compiled.pair_row,
-    )
+    return ColumnarFrontier(priorities, seeded)
 
-
-class _ZeroFlags(dict):
-    """Freshness flags defaulting to 0 (maximally stale isolated seeds)."""
-
-    def __missing__(self, key) -> int:
-        return 0
-
-
-class _FrontierGroupKeys:
-    """(user, item) -> live-candidates view backed by a ColumnarFrontier.
-
-    Mirrors the ``Dict[Tuple[int, int], Set[Triple]]`` bookkeeping the
-    per-triple seeding path maintains, but reads group membership straight
-    from the frontier, so nothing is materialized per candidate.
-    """
-
-    def __init__(self, frontier: ColumnarFrontier) -> None:
-        self._frontier = frontier
-
-    def get(self, group, default=()):
-        members = self._frontier.group_members(group)
-        return members if members else set(default)
-
-    def pop(self, group, default=None):
-        self._frontier.drop_group(group)
-        return default
 
 #: Seed the frontier with isolated expected revenues ``p(i,t) * q(u,i,t)``
 #: (line 8 of Algorithm 1).  Cheap (no revenue-model calls) and a valid
@@ -294,12 +269,15 @@ class LazyGreedySelector:
         Returns:
             The number of triples admitted.
         """
-        heap, flags, group_keys = self._seed(strategy, candidates,
-                                             allowed_times)
         if initial_revenue is None:
             initial_revenue = (
                 growth_curve[-1][1] if growth_curve else 0.0
             )
+        if candidates is None and self._columnar_eligible():
+            return self._select_columnar(strategy, allowed_times,
+                                         growth_curve, initial_revenue)
+        heap, flags, group_keys = self._seed(strategy, candidates,
+                                             allowed_times)
         revenue = initial_revenue
         admitted = 0
 
@@ -309,9 +287,14 @@ class LazyGreedySelector:
         ):
             key, priority = heap.peek()
             triple = Triple(*key)
+            group = (triple.user, triple.item)
             if not self._checker.can_add(strategy, triple):
-                self._discard_blocked(heap, group_keys, strategy, triple,
-                                      priority)
+                if self._note_blocked(strategy, triple, priority):
+                    heap.discard(triple)
+                    group_keys.get(group, set()).discard(triple)
+                else:
+                    for candidate in list(group_keys.pop(group, ())):
+                        heap.discard(candidate)
                 continue
             freshness = strategy.group_size(
                 triple.user, self._instance.class_of(triple.item)
@@ -319,28 +302,24 @@ class LazyGreedySelector:
             if self._use_lazy_forward and flags[triple] != freshness:
                 if self._trace is not None:
                     self._trace.record_gate(triple, priority)
-                self._refresh_group(heap, flags, group_keys, strategy,
-                                    triple, freshness)
+                stale = [
+                    candidate for candidate in group_keys.get(group, ())
+                    if candidate in heap
+                ]
+                self._rescore(heap, flags, strategy, stale, freshness)
                 continue
             if priority <= 0.0:
                 if self._trace is not None and heap:
                     self._trace.truncated = True
                 break
-            gain = (
-                priority if self._true_model is None
-                else self._true_model.marginal_revenue(strategy, triple)
-            )
+            gain = self._gain(strategy, triple, priority)
             strategy.add(triple)
             heap.discard(triple)
-            self._note_removed(group_keys, (triple.user, triple.item), triple)
+            group_keys.get(group, set()).discard(triple)
             admitted += 1
             revenue += gain
-            if growth_curve is not None:
-                growth_curve.append((len(strategy), revenue))
-            if self._trace is not None:
-                self._trace.record_admit(triple, gain)
-            if self._on_admit is not None:
-                self._on_admit(triple, gain)
+            self._record_admission(strategy, triple, gain, revenue,
+                                   growth_curve)
             if not self._use_lazy_forward:
                 self._eager_refresh(heap, flags, group_keys, strategy, triple)
         if self._trace is not None and heap and not self._trace.truncated:
@@ -349,10 +328,10 @@ class LazyGreedySelector:
         return admitted
 
     # ------------------------------------------------------------------
-    # frontier construction
+    # the columnar loop
     # ------------------------------------------------------------------
     def _columnar_eligible(self) -> bool:
-        """The columnar fast path covers the paper-default configuration.
+        """The columnar loop covers the paper-default configuration.
 
         The python backend is excluded on purpose: it is documented as the
         executable specification of the object layout and must never
@@ -366,13 +345,127 @@ class LazyGreedySelector:
             and self._model.backend == "numpy"
         )
 
+    def _select_columnar(self, strategy: Strategy,
+                         allowed_times: Optional[Iterable[int]],
+                         growth_curve: Optional[List[Tuple[int, float]]],
+                         revenue: float) -> int:
+        """The paper-default loop over the columnar frontier, keyed by row.
+
+        Same pop / gate / refresh / admit decisions as the object loop of
+        :meth:`select`, addressed by CSR pair row instead of by ``Triple``:
+
+        * the frontier serves ``(row, t, priority)``
+          (:class:`~repro.heaps.columnar.ColumnarFrontier`);
+        * the freshness flag is one int per row -- a refresh re-scores every
+          live entry of the row together, so they always share it; isolated
+          seeds start maximally stale (0);
+        * a capacity block drops the whole row, a display block its one
+          ``(row, t)`` entry.
+
+        A ``Triple`` exists only for the pop's constraint check, scoring,
+        admission and trace record.
+        """
+        instance = self._instance
+        compiled = instance.compiled()
+        frontier = build_columnar_frontier(compiled, strategy, allowed_times)
+        pair_user = compiled.pair_user
+        pair_item = compiled.pair_item
+        flags = [0] * compiled.num_pairs
+        class_of = instance.class_of
+        can_add = self._checker.can_add
+        score = self._model.marginal_revenue_batch
+        trace = self._trace
+        cap = self._max_selections
+        admitted = 0
+        while frontier and (cap is None or len(strategy) < cap):
+            row, t, priority = frontier.peek()
+            user = int(pair_user[row])
+            item = int(pair_item[row])
+            triple = Triple(user, item, t)
+            if not can_add(strategy, triple):
+                if self._note_blocked(strategy, triple, priority):
+                    frontier.discard(row, t)
+                else:
+                    frontier.drop_group(row)
+                continue
+            freshness = strategy.group_size(user, class_of(item))
+            if flags[row] != freshness:
+                if trace is not None:
+                    trace.record_gate(triple, priority)
+                times = frontier.times(row)
+                frontier.update(row, times, score(
+                    strategy, [Triple(user, item, s) for s in times]
+                ))
+                flags[row] = freshness
+                continue
+            if priority <= 0.0:
+                if trace is not None:
+                    trace.truncated = True
+                break
+            gain = self._gain(strategy, triple, priority)
+            strategy.add(triple)
+            frontier.discard(row, t)
+            admitted += 1
+            revenue += gain
+            self._record_admission(strategy, triple, gain, revenue,
+                                   growth_curve)
+        if trace is not None and frontier and not trace.truncated:
+            # The max_selections cap left live candidates unpopped.
+            trace.capped = True
+        return admitted
+
+    # ------------------------------------------------------------------
+    # shared steps of both loops
+    # ------------------------------------------------------------------
+    def _note_blocked(self, strategy: Strategy, triple: Triple,
+                      priority: float) -> bool:
+        """Classify a pop ``can_add`` rejected; True for a display block.
+
+        A display violation concerns only the popped triple's (user, time)
+        slot, so the caller drops only that candidate (a gate on the
+        trace).  A capacity violation means the item's distinct audience is
+        full and the user is not part of it; since the audience never
+        shrinks, every remaining candidate of the (user, item) pair is dead
+        and the caller removes the whole lower heap (line 26 of
+        Algorithm 1).
+        """
+        display_blocked = (
+            strategy.display_count(triple.user, triple.t)
+            >= self._instance.display_limit
+        )
+        if self._trace is not None:
+            if display_blocked:
+                self._trace.record_gate(triple, priority)
+            else:
+                self._trace.capacity_blocked = True
+        return display_blocked
+
+    def _gain(self, strategy: Strategy, triple: Triple,
+              priority: float) -> float:
+        """The reported gain of admitting ``triple`` popped at ``priority``."""
+        if self._true_model is None:
+            return priority
+        return self._true_model.marginal_revenue(strategy, triple)
+
+    def _record_admission(self, strategy: Strategy, triple: Triple,
+                          gain: float, revenue: float,
+                          growth_curve: Optional[List[Tuple[int, float]]]
+                          ) -> None:
+        if growth_curve is not None:
+            growth_curve.append((len(strategy), revenue))
+        if self._trace is not None:
+            self._trace.record_admit(triple, gain)
+        if self._on_admit is not None:
+            self._on_admit(triple, gain)
+
+    # ------------------------------------------------------------------
+    # frontier construction (object path)
+    # ------------------------------------------------------------------
     def _seed(self, strategy: Strategy,
               candidates: Optional[Iterable[Triple]],
               allowed_times: Optional[Iterable[int]]):
         """Build the frontier, freshness flags and (user, item) key index."""
         if candidates is None:
-            if self._columnar_eligible():
-                return self._seed_columnar(strategy, allowed_times)
             candidates = self._instance.candidate_triples()
         if allowed_times is not None:
             allowed = set(allowed_times)
@@ -413,92 +506,22 @@ class LazyGreedySelector:
             group_keys.setdefault(group, set()).add(triple)
         return heap, flags, group_keys
 
-    def _seed_columnar(self, strategy: Strategy,
-                       allowed_times: Optional[Iterable[int]]):
-        """Seed the frontier in one vectorized pass over the compiled table.
-
-        Isolated seed priorities are read straight off the compiled
-        instance's ``(n_pairs, T)`` isolated-revenue matrix; the two-level
-        frontier is bulk-built from the same arrays by
-        :func:`build_columnar_frontier`.  No per-candidate Python object
-        exists until a candidate's group is actually touched by the
-        selection loop.
-        """
-        frontier = build_columnar_frontier(
-            self._instance.compiled(), strategy, allowed_times
-        )
-        return frontier, _ZeroFlags(), _FrontierGroupKeys(frontier)
-
     # ------------------------------------------------------------------
-    # frontier maintenance
+    # refresh (object path)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _note_removed(group_keys, group, triple: Triple) -> None:
-        """Drop a removed candidate from the dict bookkeeping.
-
-        The columnar frontier *is* the bookkeeping -- ``heap.discard``
-        already removed the entry -- so the shim case is a no-op rather
-        than materializing a throwaway membership set per admission.
-        """
-        if isinstance(group_keys, _FrontierGroupKeys):
-            return
-        group_keys.get(group, set()).discard(triple)
-
-    def _discard_blocked(self, heap, group_keys, strategy: Strategy,
-                         triple: Triple, priority: float = 0.0) -> None:
-        """Drop candidates that can never become feasible again.
-
-        A display violation concerns only the popped triple's (user, time)
-        slot, so only that candidate is dropped.  A capacity violation means
-        the item's distinct audience is full and the user is not part of it;
-        since the audience never shrinks, every remaining candidate of the
-        (user, item) pair is dead and the whole lower heap is removed (line
-        26 of Algorithm 1).
-        """
-        display_blocked = (
-            strategy.display_count(triple.user, triple.t)
-            >= self._instance.display_limit
-        )
-        group = (triple.user, triple.item)
-        if display_blocked:
-            if self._trace is not None:
-                self._trace.record_gate(triple, priority)
-            heap.discard(triple)
-            self._note_removed(group_keys, group, triple)
-            return
-        if self._trace is not None:
-            self._trace.capacity_blocked = True
-        if isinstance(heap, ColumnarFrontier):
-            # Kills the whole row in one step -- no need to materialize the
-            # dying group's lower heap just to discard entry by entry.
-            heap.drop_group(group)
-            return
-        for candidate in list(group_keys.get(group, ())):
-            heap.discard(candidate)
-        group_keys.pop(group, None)
-
     def _rescore(self, heap, flags, strategy: Strategy,
                  candidates: List[Triple], freshness: int) -> None:
-        """Batch-score ``candidates`` and write priorities + flags back."""
+        """Batch-score ``candidates`` and write priorities + flags back.
+
+        One batched scoring pass: a lazy refresh passes the live candidates
+        of the popped triple's (user, item) heap, which share the
+        (user, class) group whose change staled them and so the "before"
+        revenue the batch evaluates once.
+        """
         values = self._model.marginal_revenue_batch(strategy, candidates)
         for candidate, value in zip(candidates, values):
             flags[candidate] = freshness
             heap.update(candidate, value)
-
-    def _refresh_group(self, heap, flags, group_keys, strategy: Strategy,
-                       triple: Triple, freshness: int) -> None:
-        """Recompute every candidate of the popped triple's (user, item) heap.
-
-        One batched scoring pass refreshes the whole lower-level heap: all
-        its candidates share the (user, class) group whose change staled
-        them, so they share the "before" revenue the batch evaluates once.
-        """
-        group = (triple.user, triple.item)
-        stale = [
-            candidate for candidate in group_keys.get(group, ())
-            if candidate in heap
-        ]
-        self._rescore(heap, flags, strategy, stale, freshness)
 
     def _eager_refresh(self, heap, flags, group_keys, strategy: Strategy,
                        added: Triple) -> None:

@@ -61,8 +61,10 @@ cold solve either way.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -446,22 +448,23 @@ class IncrementalSolver:
         growth_curve: List[Tuple[int, float]] = []
         order: List[Tuple[Triple, float]] = []
         revenue = 0.0
-        while heap:
-            _, _, user, position = heapq.heappop(heap)
-            sequence = events[user]
-            priority, item, t, admitted = sequence[position]
-            if admitted:
-                triple = Triple(user, item, t)
-                strategy.add(triple)
-                revenue += priority
-                growth_curve.append((len(strategy), revenue))
-                order.append((triple, priority))
-            position += 1
-            if position < len(sequence):
-                heapq.heappush(heap, (
-                    -sequence[position][0], int(rows[user][position]),
-                    user, position,
-                ))
+        with _gc_paused():
+            while heap:
+                _, _, user, position = heapq.heappop(heap)
+                sequence = events[user]
+                priority, item, t, admitted = sequence[position]
+                if admitted:
+                    triple = Triple(user, item, t)
+                    strategy.add(triple)
+                    revenue += priority
+                    growth_curve.append((len(strategy), revenue))
+                    order.append((triple, priority))
+                position += 1
+                if position < len(sequence):
+                    heapq.heappush(heap, (
+                        -sequence[position][0], int(rows[user][position]),
+                        user, position,
+                    ))
         return strategy, growth_curve, order
 
     # ------------------------------------------------------------------
@@ -561,6 +564,25 @@ def _compress_events(sequence: List[_Event]) -> List[_Event]:
             suffix_max = priority
     kept.reverse()
     return kept
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring its prior state.
+
+    The merge allocates a few long-lived objects per admission (triples,
+    strategy index entries, curve points) and creates no reference cycles,
+    so collector passes find nothing to free -- yet each one walks the
+    solver's whole live state.  At 100k users they tripled the merge
+    (about 6 s paused against 19 s running).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _selection_bound(instance: RevMaxInstance) -> int:

@@ -14,9 +14,11 @@ Both structures are deterministic (ties broken by insertion order) so that
 algorithm outputs are reproducible.
 
 :class:`repro.heaps.columnar.ColumnarFrontier` is the bulk-seeded columnar
-variant of the two-level structure: one C-level ``heapify`` over the
-compiled candidate tensors replaces millions of per-triple inserts, and
-lower-level heaps materialize lazily (see :mod:`repro.core.compiled`).
+variant of the two-level structure, addressed by compiled pair row and time
+step instead of by triple: one C-level ``heapify`` over the compiled
+candidate tensors replaces millions of per-triple inserts, and lower-level
+heaps (addressable heaps keyed by time step) materialize lazily (see
+:mod:`repro.core.compiled`).
 """
 
 from repro.heaps.binary_heap import AddressableMaxHeap

@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.global_greedy import GlobalGreedy
 from repro.core.compiled import ColumnarAdoptionTable, CompiledInstance
-from repro.core.entities import Triple
 from repro.core.problem import AdoptionTable
 from repro.core.revenue import RevenueModel
 from repro.core.strategy import Strategy
@@ -386,76 +385,104 @@ class TestEngineEquivalence:
 
 
 class TestColumnarFrontier:
+    """The row-keyed frontier: entries are ``(row, t)`` cells."""
+
     def _frontier(self):
-        pair_user = np.array([0, 0, 1])
-        pair_item = np.array([0, 1, 0])
         priorities = np.array([[5.0, 7.0], [6.0, 0.0], [4.0, 9.0]])
-        seeded = priorities > 0.0
-        rows = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
+        return ColumnarFrontier(priorities, priorities > 0.0)
 
-        def lookup(user, item):
-            return rows.get((user, item), -1)
-
-        return ColumnarFrontier(pair_user, pair_item, priorities,
-                                seeded.copy(), lookup)
+    @staticmethod
+    def _drain(frontier):
+        popped = []
+        while frontier:
+            row, t, priority = frontier.peek()
+            frontier.discard(row, t)
+            popped.append((row, t, priority))
+        return popped
 
     def test_peek_orders_globally(self):
         frontier = self._frontier()
-        assert frontier.peek() == (Triple(1, 0, 1), 9.0)
-        assert len(frontier) == 5
-        assert Triple(0, 0, 1) in frontier
-        assert Triple(0, 1, 1) not in frontier  # masked out (priority 0)
+        assert frontier.peek() == (2, 1, 9.0)
+        assert frontier.times(0) == [0, 1]
+        assert frontier.times(1) == [0]  # (1, 1) masked out (priority 0)
+        assert self._drain(frontier) == [
+            (2, 1, 9.0), (0, 1, 7.0), (1, 0, 6.0), (0, 0, 5.0), (2, 0, 4.0),
+        ]
 
     def test_pop_discard_and_update(self):
         frontier = self._frontier()
-        assert frontier.pop() == (Triple(1, 0, 1), 9.0)
-        assert frontier.peek() == (Triple(0, 0, 1), 7.0)
-        frontier.update(Triple(0, 0, 1), 1.0)
-        assert frontier.peek() == (Triple(0, 1, 0), 6.0)
-        frontier.discard(Triple(0, 1, 0))
-        assert frontier.peek() == (Triple(0, 0, 0), 5.0)
-        # Draining every entry empties the frontier.
-        for _ in range(3):
-            frontier.pop()
-        assert not frontier
+        frontier.discard(2, 1)
+        assert frontier.peek() == (0, 1, 7.0)
+        frontier.update(0, [1], [1.0])
+        assert frontier.peek() == (1, 0, 6.0)
+        frontier.discard(1, 0)
+        assert frontier.peek() == (0, 0, 5.0)
+        frontier.discard(1, 0)  # already gone: no-op
+        frontier.discard(0, 5)  # outside the horizon: no-op
+        assert self._drain(frontier) == [
+            (0, 0, 5.0), (2, 0, 4.0), (0, 1, 1.0),
+        ]
         with pytest.raises(IndexError):
             frontier.peek()
 
-    def test_priority_accessor(self):
+    def test_update_rescores_whole_row(self):
         frontier = self._frontier()
-        # Before materialization the seeded matrix answers directly ...
-        assert frontier.priority(Triple(0, 0, 1)) == 7.0
-        # ... and after an update the lower heap does.
-        frontier.update(Triple(0, 0, 1), 2.5)
-        assert frontier.priority(Triple(0, 0, 1)) == 2.5
+        # One call re-scores every live entry of the row, even unmaterialized.
+        frontier.update(0, [0, 1], [8.0, 2.5])
+        assert frontier.times(0) == [0, 1]
+        assert frontier.peek() == (2, 1, 9.0)
+        frontier.discard(2, 1)
+        assert frontier.peek() == (0, 0, 8.0)
+        frontier.discard(0, 0)
         with pytest.raises(KeyError):
-            frontier.priority(Triple(0, 1, 1))  # masked out (priority 0)
+            frontier.update(0, [0], [1.0])  # discarded entry
+        frontier.discard(0, 1)
         with pytest.raises(KeyError):
-            frontier.priority(Triple(9, 9, 0))  # unknown pair
+            frontier.update(0, [1], [1.0])  # dead row
+        assert self._drain(frontier) == [(1, 0, 6.0), (2, 0, 4.0)]
 
-    def test_group_members_and_drop_group(self):
+    def test_drop_group(self):
         frontier = self._frontier()
-        assert frontier.group_members((0, 0)) == {
-            Triple(0, 0, 0), Triple(0, 0, 1)
-        }
-        frontier.drop_group((0, 0))
-        assert frontier.group_members((0, 0)) == set()
-        assert Triple(0, 0, 1) not in frontier
-        assert frontier.peek() == (Triple(1, 0, 1), 9.0)
-        frontier.drop_group((5, 5))  # unknown group: no-op
+        frontier.drop_group(2)
+        assert frontier.times(2) == []
+        assert frontier.peek() == (0, 1, 7.0)
+        frontier.drop_group(2)  # already dead: no-op
+        frontier.discard(2, 0)  # entry of a dead row: no-op
+        assert self._drain(frontier) == [
+            (0, 1, 7.0), (1, 0, 6.0), (0, 0, 5.0),
+        ]
 
     def test_tie_breaks_by_row_then_time(self):
-        pair_user = np.array([0, 0])
-        pair_item = np.array([0, 1])
-        priorities = np.array([[3.0, 3.0], [3.0, 3.0]])
-        rows = {(0, 0): 0, (0, 1): 1}
-        frontier = ColumnarFrontier(
-            pair_user, pair_item, priorities, priorities > 0,
-            lambda u, i: rows.get((u, i), -1),
-        )
-        assert frontier.pop() == (Triple(0, 0, 0), 3.0)
-        assert frontier.pop() == (Triple(0, 0, 1), 3.0)
-        assert frontier.pop() == (Triple(0, 1, 0), 3.0)
+        # Priority descending, then row ascending, then t ascending -- also
+        # after updates that leave rows tied again.
+        priorities = np.full((3, 2), 3.0)
+        frontier = ColumnarFrontier(priorities, priorities > 0.0)
+        frontier.update(1, [1, 0], [3.0, 3.0])
+        frontier.update(2, [0], [5.0])
+        frontier.update(2, [0], [3.0])
+        assert self._drain(frontier) == [
+            (0, 0, 3.0), (0, 1, 3.0), (1, 0, 3.0), (1, 1, 3.0),
+            (2, 0, 3.0), (2, 1, 3.0),
+        ]
+
+    def test_stale_duplicate_upper_entries_are_skipped(self):
+        # Row 0's best goes A (5.0) -> B (3.0) -> A: the upper heap then
+        # holds two (-5.0, 0) entries and a stale (-3.0, 0).  Once row 0's
+        # best moves on, none of them may serve row 0 again.
+        priorities = np.array([[5.0, 1.0], [4.0, 0.0]])
+        frontier = ColumnarFrontier(priorities, priorities > 0.0)
+        frontier.update(0, [0], [3.0])
+        assert frontier.peek() == (1, 0, 4.0)
+        frontier.update(0, [0], [5.0])
+        assert frontier.peek() == (0, 0, 5.0)
+        frontier.discard(0, 0)
+        assert frontier.peek() == (1, 0, 4.0)
+        frontier.discard(1, 0)
+        assert frontier.peek() == (0, 1, 1.0)
+        frontier.discard(0, 1)
+        assert not frontier
+        with pytest.raises(IndexError):
+            frontier.peek()
 
 
 class TestAdoptionValidation:
@@ -628,3 +655,59 @@ class TestColumnarGenerators:
         rb = GlobalGreedy().run(columnar_instance)
         assert ra.revenue == rb.revenue
         assert ra.strategy.triples() == rb.strategy.triples()
+
+
+class TestPairRowLookup:
+    """The scalar bisection lookup agrees with the vectorized one."""
+
+    @staticmethod
+    def _assert_matches_pair_rows(compiled):
+        users = list(range(-2, compiled.num_users + 2)) + [10**6]
+        items = list(range(-2, compiled.num_items + 2)) + [10**6]
+        grid_users = np.repeat(users, len(items))
+        grid_items = np.tile(items, len(users))
+        expected = compiled.pair_rows(grid_users, grid_items).tolist()
+        found = [compiled.pair_row(int(u), int(i))
+                 for u, i in zip(grid_users, grid_items)]
+        assert found == expected
+        # Every stored pair is found, also through NumPy integers.
+        for row, (user, item) in enumerate(zip(compiled.pair_user,
+                                               compiled.pair_item)):
+            assert compiled.pair_row(user, item) == row
+
+    def test_matches_pair_rows(self, small_instance):
+        self._assert_matches_pair_rows(small_instance.compiled())
+
+    def test_empty_table(self):
+        compiled = CompiledInstance(
+            num_users=2, horizon=1, display_limit=1,
+            user_ptr=np.zeros(3, dtype=np.int64),
+            pair_item=np.zeros(0, dtype=np.int64),
+            pair_probs=np.zeros((0, 1)), prices=np.ones((2, 1)),
+            capacities=np.ones(2, dtype=int), betas=np.ones(2),
+            item_class=np.zeros(2, dtype=np.int64),
+        )
+        self._assert_matches_pair_rows(compiled)
+
+    def test_after_delta_appends_users(self):
+        from repro.datasets.synthetic import (
+            SyntheticConfig, generate_synthetic_columnar,
+        )
+        from repro.dynamic import InstanceDelta, apply_delta
+
+        instance = generate_synthetic_columnar(SyntheticConfig(
+            num_users=12, num_items=8, num_classes=2,
+            candidates_per_user=3, horizon=2, seed=5,
+        ))
+        compiled = instance.compiled()
+        self._assert_matches_pair_rows(compiled)  # builds the lookup lists
+        apply_delta(instance, InstanceDelta(new_users={
+            12: {1: [0.5, 0.5], 6: [0.2, 0.0]},
+            13: {},
+            14: {0: [0.1, 0.3]},
+        }))
+        assert instance.compiled() is compiled
+        assert compiled.pair_row(12, 6) == compiled.num_pairs - 2
+        assert compiled.pair_row(14, 0) == compiled.num_pairs - 1
+        assert compiled.pair_row(13, 0) == -1
+        self._assert_matches_pair_rows(compiled)

@@ -15,6 +15,8 @@ Three layers, mirroring the module structure:
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,22 @@ class TestIncrementalSolver:
                 merges += 1
                 assert solver.last_stats["dirty_users"] == 1
         assert merges > 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_merge_restores_the_collector_state(self, enabled):
+        instance = build_random_instance(seed=1, **MERGE_FRIENDLY)
+        solver = IncrementalSolver(instance)
+        solver.solve()
+        was_enabled = gc.isenabled()
+        try:
+            if not enabled:
+                gc.disable()
+            solver.resolve()
+            assert solver.last_stats["mode"] == "merge"
+            assert gc.isenabled() is enabled
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_empty_delta_is_identity(self):
         for seed in range(4):

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.entities import Triple
 from repro.core.problem import RevMaxInstance
+from repro.core import revenue as revenue_module
 from repro.core.revenue import (
+    VECTORIZE_MIN_GROUP,
     RevenueModel,
     group_dynamic_probability,
     group_revenue,
@@ -216,3 +218,180 @@ class TestMarginalRevenue:
             assert model.marginal_revenue(strategy, triple) == pytest.approx(
                 difference, abs=1e-9
             )
+
+
+def _definition_revenue(instance, group):
+    """Definitions 1-2 transcribed literally: per-target lookups, in order."""
+    total = 0.0
+    for target in group:
+        user, item, t = target
+        primitive = instance.probability(user, item, t)
+        probability = 0.0
+        if primitive > 0.0:
+            memory = memory_term(group, t)
+            saturation = instance.beta(item) ** memory if memory > 0.0 else 1.0
+            survival = 1.0
+            for other in group:
+                if other == target:
+                    continue
+                if other.t < t or (other.t == t and other.item != item):
+                    survival *= 1.0 - instance.probability(*other)
+            probability = primitive * saturation * survival
+        total += instance.price(item, t) * probability
+    return total
+
+
+def _exactness_instance():
+    """One class, user 0 with zero and absent primitives among its triples."""
+    rng = np.random.default_rng(7)
+    horizon = 6
+    adoption = {(user, item): rng.uniform(0.05, 0.95, size=horizon).tolist()
+                for user in range(3) for item in range(4)}
+    adoption[(0, 1)][2] = 0.0
+    adoption[(0, 2)][0] = 0.0
+    adoption[(0, 0)][4] = 1.0
+    # Item 4 has no pair for user 0: its primitives are absent.
+    adoption[(1, 4)] = rng.uniform(0.05, 0.95, size=horizon).tolist()
+    return RevMaxInstance.from_dense_adoption(
+        prices=rng.uniform(5.0, 100.0, size=(5, horizon)),
+        adoption=adoption, item_class=[0] * 5, capacities=5,
+        betas=np.array([0.5, 0.0, 1.0, 0.7, 0.3]), display_limit=5,
+        name="exactness",
+    )
+
+
+def _user_zero_triples(instance, seed=3):
+    """User 0's triples in a shuffled order, zero and absent ones included.
+
+    Triples (0, 1, 2) and (0, 2, 0) have zero primitives, (0, 4, *) absent
+    ones; one of each is always among the first four.
+    """
+    special = [Triple(0, 1, 2), Triple(0, 4, 1)]
+    rest = [Triple(0, item, t) for item in range(5)
+            for t in range(instance.horizon)]
+    rest = [z for z in rest if z not in special]
+    np.random.default_rng(seed).shuffle(rest)
+    return rest[:2] + special + rest[2:]
+
+
+class TestGatheredArithmetic:
+    """The gather-once arithmetic is Definitions 1-2, bit for bit."""
+
+    @pytest.fixture(params=["dict", "columnar"])
+    def instance(self, request):
+        instance = _exactness_instance()
+        if request.param == "columnar":
+            instance = instance.compiled().as_instance(catalog=instance.catalog)
+        return instance
+
+    @pytest.mark.parametrize("size", [1, 2, 9, 10, 11])
+    def test_group_revenue_is_the_definition(self, instance, size):
+        for seed in range(20):
+            group = _user_zero_triples(instance, seed)[:size]
+            expected = _definition_revenue(instance, group)
+            assert group_revenue(instance, group) == expected
+            gathered = revenue_module._CompiledGather(
+                instance, instance.compiled())(group)
+            assert revenue_module._gathered_group_revenue(*gathered) == expected
+        for target in group:
+            assert group_dynamic_probability(instance, group, target) == (
+                revenue_module._dynamic_probability(
+                    instance.probability(*target), instance.beta(target.item),
+                    target.item, target.t, [z.item for z in group],
+                    [z.t for z in group],
+                    [instance.probability(*z) for z in group],
+                )
+            )
+
+    @pytest.mark.parametrize("size", [0, 8, 9, 10])
+    def test_batch_matches_kernel_path(self, instance, size):
+        triples = _user_zero_triples(instance)
+        strategy = Strategy(instance.catalog, triples[:size])
+        candidates = triples[size:]
+        gathered = RevenueModel(instance)
+        kernel = RevenueModel(instance, compiled=False)
+        values = gathered.marginal_revenue_batch(strategy, candidates)
+        assert values == kernel.marginal_revenue_batch(strategy, candidates)
+        assert gathered.evaluations == kernel.evaluations
+        assert gathered.lookups == kernel.lookups
+        # One-candidate batches below the batched-kernel threshold run the
+        # scalar body: the definition itself.
+        group = strategy.group(0, 0)
+        before = _definition_revenue(instance, group) if group else 0.0
+        for candidate in candidates[:2]:
+            single = gathered.marginal_revenue_batch(strategy, [candidate])
+            if size + 1 < VECTORIZE_MIN_GROUP:
+                assert single == [
+                    _definition_revenue(instance, group + [candidate]) - before
+                ]
+            assert single == [gathered.marginal_revenue(strategy, candidate)]
+
+    def test_scalar_paths_look_each_member_up_once(self, monkeypatch):
+        instance = _exactness_instance()
+        group = _user_zero_triples(instance)[:7]
+        lookups = []
+        original = type(instance.adoption).probability
+
+        def counting(table, user, item, t):
+            lookups.append((user, item, t))
+            return original(table, user, item, t)
+
+        monkeypatch.setattr(type(instance.adoption), "probability", counting)
+        group_revenue(instance, group)
+        assert sorted(lookups) == sorted(group)
+
+        # The compiled model reads no adoption table at all, and looks each
+        # distinct (user, item) up once per call.
+        compiled = instance.compiled()
+        rows = []
+        original_row = compiled.pair_row
+        monkeypatch.setattr(
+            compiled, "pair_row",
+            lambda user, item: rows.append((user, item))
+            or original_row(user, item),
+        )
+        model = RevenueModel(instance)
+        lookups.clear()
+        model.marginal_revenue_batch(Strategy(instance.catalog, group[:3]),
+                                     group[3:])
+        assert sorted(rows) == sorted({(z.user, z.item) for z in group})
+        rows.clear()
+        # A scalar marginal is two group revenues, each gathered once.
+        model.marginal_revenue(Strategy(instance.catalog, group[1:]), group[0])
+        pairs = {(z.user, z.item) for z in group[1:]}
+        assert len(rows) == len(pairs) + len(pairs | {group[0][:2]})
+        assert lookups == []
+
+    def test_model_reads_tensors_patched_by_a_delta(self, tmp_path):
+        from repro import io as repro_io
+        from repro.dynamic import InstanceDelta, apply_delta
+
+        path = tmp_path / "plan.npz"
+        repro_io.save_instance_npz(_exactness_instance(), path)
+        instance = repro_io.load_instance_npz(path)
+        assert not instance.compiled().pair_probs.flags.writeable
+        triples = _user_zero_triples(instance)
+        strategy = Strategy(instance.catalog, triples[:4])
+        candidates = triples[4:]
+        model = RevenueModel(instance)
+        before = model.marginal_revenue_batch(strategy, candidates)
+        apply_delta(instance, InstanceDelta(
+            probability_updates={(0, 0): [0.9] * instance.horizon},
+            new_users={instance.num_users: {0: [0.5] * instance.horizon,
+                                            3: [0.25] * instance.horizon}},
+        ))
+        # The delta copied the read-only tensor; the live model must see it.
+        assert instance.compiled().pair_probs.flags.writeable
+        new_user = instance.num_users - 1
+        candidates = candidates + [Triple(new_user, 0, 1),
+                                   Triple(new_user, 3, 2)]
+        after = model.marginal_revenue_batch(strategy, candidates)
+        assert after[:len(before)] != before
+        assert after == RevenueModel(instance).marginal_revenue_batch(
+            strategy, candidates)
+        twin = instance.compiled().to_instance(catalog=instance.catalog)
+        assert after == RevenueModel(twin, compiled=False).marginal_revenue_batch(
+            strategy, candidates)
+        assert after[-2:] == [
+            _definition_revenue(twin, [z]) for z in candidates[-2:]
+        ]

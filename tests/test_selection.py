@@ -19,8 +19,14 @@ from repro.algorithms.global_greedy import GlobalGreedy, GlobalGreedyNoSaturatio
 from repro.algorithms.local_greedy import RandomizedLocalGreedy, SequentialLocalGreedy
 from repro.core.constraints import ConstraintChecker
 from repro.core.revenue import RevenueModel
-from repro.core.selection import SEED_ISOLATED, SEED_MARGINAL, LazyGreedySelector
+from repro.core.selection import (
+    SEED_ISOLATED,
+    SEED_MARGINAL,
+    LazyGreedySelector,
+    SelectionTrace,
+)
 from repro.core.strategy import Strategy
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_columnar
 
 from tests.conftest import build_random_instance
 
@@ -285,3 +291,113 @@ class TestLazyGreedySelector:
         # No duplicate admissions: Strategy.add would have raised otherwise.
         assert set(candidates[:2]) <= strategy.triples()
 
+
+
+def _traced_run(instance, *, columnar, allowed_times=None, initial=(),
+                ignore_saturation=False, max_selections=None):
+    """One isolated-seeded lazy G-Greedy selection with a trace.
+
+    ``columnar=True`` runs the row-keyed columnar loop on ``instance``;
+    ``columnar=False`` runs the object path (``use_compiled=False``, the
+    kernel-path revenue model) on a dict-backed twin of it.
+    """
+    source = (instance if columnar
+              else instance.compiled().to_instance(catalog=instance.catalog))
+    selection_instance = (
+        source.with_betas(1.0) if ignore_saturation else source
+    )
+    compiled = None if columnar else False
+    model = RevenueModel(selection_instance, compiled=compiled)
+    true_model = (RevenueModel(source, compiled=compiled)
+                  if ignore_saturation else None)
+    trace = SelectionTrace()
+    selector = LazyGreedySelector(
+        source, model, ConstraintChecker(source), true_model=true_model,
+        seed_priorities=SEED_ISOLATED, max_selections=max_selections,
+        use_compiled=columnar, trace=trace,
+    )
+    strategy = Strategy(source.catalog, initial)
+    curve = []
+    selector.select(strategy, None, allowed_times=allowed_times,
+                    growth_curve=curve)
+    return {
+        "triples": sorted(strategy.triples()),
+        "admissions": trace.admissions,
+        "curve": curve,
+        "events": trace.events,
+        "flags": {"truncated": trace.truncated, "capped": trace.capped,
+                  "capacity_blocked": trace.capacity_blocked},
+    }
+
+
+def _synthetic(seed, **overrides):
+    config = dict(num_users=80, num_items=24, num_classes=4,
+                  candidates_per_user=6, horizon=4, display_limit=2,
+                  capacity_fraction=0.25, beta=0.5, seed=seed)
+    config.update(overrides)
+    return generate_synthetic_columnar(SyntheticConfig(**config))
+
+
+class TestColumnarLoopDifferential:
+    """The row-keyed columnar loop against the object path, bit for bit.
+
+    Admissions (triples and float gains), growth curves and every
+    ``SelectionTrace`` event must be ``==``-equal, not approximately equal.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _count_columnar_runs(self, monkeypatch):
+        self.columnar_runs = 0
+        original = LazyGreedySelector._select_columnar
+
+        def counting(selector, *args, **kwargs):
+            self.columnar_runs += 1
+            return original(selector, *args, **kwargs)
+
+        monkeypatch.setattr(LazyGreedySelector, "_select_columnar", counting)
+
+    def _assert_agree(self, instance, **kwargs):
+        columnar = _traced_run(instance, columnar=True, **kwargs)
+        runs = self.columnar_runs
+        object_path = _traced_run(instance, columnar=False, **kwargs)
+        assert runs >= 1 and self.columnar_runs == runs
+        assert columnar == object_path
+        assert columnar["admissions"]
+        return columnar
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_configuration(self, seed):
+        self._assert_agree(_synthetic(seed))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binding_capacities_drop_whole_rows(self, seed):
+        run = self._assert_agree(_synthetic(seed, capacity_fraction=0.05))
+        assert run["flags"]["capacity_blocked"]
+
+    @pytest.mark.parametrize("allowed", [{0, 2, 3}, {1}, {3, 7}])
+    def test_allowed_times_subsets(self, allowed):
+        run = self._assert_agree(_synthetic(4), allowed_times=allowed)
+        assert {z.t for z, _ in run["admissions"]} <= allowed
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_non_empty_initial_strategy(self, seed):
+        # The sub-horizon protocol of SubHorizonWrapper: the first
+        # sub-horizon's strategy seeds the second one's run (the wrapper
+        # itself is compared end to end in test_compiled.py).
+        instance = _synthetic(seed, capacity_fraction=0.1)
+        first = _traced_run(instance, columnar=True, allowed_times={0, 1})
+        initial = first["triples"]
+        assert initial
+        self._assert_agree(instance, allowed_times={1, 2, 3},
+                           initial=initial)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_global_no(self, seed):
+        self._assert_agree(_synthetic(seed, capacity_fraction=0.1),
+                           ignore_saturation=True)
+
+    @pytest.mark.parametrize("cap", [1, 25, 60])
+    def test_max_selections_cap(self, cap):
+        run = self._assert_agree(_synthetic(6), max_selections=cap)
+        assert len(run["admissions"]) == cap
+        assert run["flags"]["capped"]
