@@ -11,9 +11,9 @@ scale -- and gates the refactor's win:
   plus a fixed number of admissions on each, recording wall-clock per
   candidate triple;
 * the **head-to-head** at the largest size runs the identical selection on
-  the object path (dict-backed adoption table, per-triple seeding loop --
-  the PR-2 engine) and asserts the compiled path is **>= 3x** faster with
-  **bit-identical** revenue growth curves.
+  the object path (dict-backed adoption table, per-triple seeding loop over
+  an explicit candidate pool) and asserts the columnar path is **>= 3x**
+  faster with **bit-identical** revenue growth curves.
 
 Results are recorded to ``BENCH_scale.json`` so the roadmap's BENCH
 trajectory can track the columnar core over time.  In CI smoke mode
@@ -58,18 +58,22 @@ def _config(num_users: int) -> SyntheticConfig:
     )
 
 
-def _timed_selection(instance, use_compiled: bool):
-    """Seed the G-Greedy frontier and admit ``ADMISSIONS`` triples."""
+def _timed_selection(instance, candidates=None):
+    """Seed the G-Greedy frontier and admit ``ADMISSIONS`` triples.
+
+    ``candidates=None`` runs the columnar loop over the whole ground set;
+    an explicit candidate iterator runs the per-triple object loop, whose
+    seeding consumes it inside the timed region.
+    """
     strategy = Strategy(instance.catalog)
-    model = RevenueModel(instance, backend="numpy", compiled=use_compiled)
+    model = RevenueModel(instance, backend="numpy")
     selector = LazyGreedySelector(
         instance, model, ConstraintChecker(instance),
         seed_priorities=SEED_ISOLATED, max_selections=ADMISSIONS,
-        use_compiled=use_compiled,
     )
     growth_curve = []
     start = time.perf_counter()
-    selector.select(strategy, None, growth_curve=growth_curve)
+    selector.select(strategy, candidates, growth_curve=growth_curve)
     seconds = time.perf_counter() - start
     return {
         "seconds": seconds,
@@ -87,7 +91,7 @@ def _run_sweep():
     for num_users in user_counts:
         instance = generate_synthetic_columnar(_config(num_users))
         compiled = instance.compiled()
-        result = _timed_selection(instance, use_compiled=True)
+        result = _timed_selection(instance)
         points.append({
             "users": num_users,
             "pairs": compiled.num_pairs,
@@ -102,7 +106,8 @@ def _run_sweep():
     # Head-to-head against the object path: identical data materialized as a
     # dict-backed adoption table, selection run on the per-triple engine.
     object_instance = instance.compiled().to_instance(catalog=instance.catalog)
-    object_result = _timed_selection(object_instance, use_compiled=False)
+    object_result = _timed_selection(object_instance,
+                                     object_instance.candidate_triples())
     return {
         "points": points,
         "gate": gate,

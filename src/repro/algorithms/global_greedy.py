@@ -47,11 +47,9 @@ class GlobalGreedy(RevMaxAlgorithm):
         ignore_saturation: select triples as if no saturation existed
             (the GlobalNo baseline).
         backend: revenue-engine backend ("numpy" / "python"); ``None`` means
-            numpy.
-        use_compiled: seed the frontier from the instance's columnar
-            compilation (default).  ``False`` forces the per-triple seeding
-            loop (the pre-compilation path, kept for the scalability
-            benchmarks).
+            numpy.  The numpy backend runs the columnar loop over the
+            instance's compilation; the python backend runs the per-triple
+            object loop and never compiles (the executable specification).
     """
 
     name = "G-Greedy"
@@ -59,12 +57,10 @@ class GlobalGreedy(RevMaxAlgorithm):
     def __init__(self, use_lazy_forward: bool = True,
                  use_two_level_heap: bool = True,
                  ignore_saturation: bool = False,
-                 backend: Optional[str] = None,
-                 use_compiled: Optional[bool] = None) -> None:
+                 backend: Optional[str] = None) -> None:
         self._use_lazy_forward = use_lazy_forward
         self._use_two_level_heap = use_two_level_heap
         self._ignore_saturation = ignore_saturation
-        self._use_compiled = use_compiled
         self.backend = backend
         if ignore_saturation:
             self.name = "GlobalNo"
@@ -89,13 +85,11 @@ class GlobalGreedy(RevMaxAlgorithm):
         # True model first: compiling the base instance lets the GlobalNo
         # copy below transplant the cached CSR tensors instead of re-walking
         # the adoption table (the candidate table is beta-independent).
-        true_model = RevenueModel(instance, backend=self.backend,
-                                  compiled=self._use_compiled)
+        true_model = RevenueModel(instance, backend=self.backend)
         selection_instance = (
             instance.with_betas(1.0) if self._ignore_saturation else instance
         )
-        selection_model = RevenueModel(selection_instance, backend=self.backend,
-                                       compiled=self._use_compiled)
+        selection_model = RevenueModel(selection_instance, backend=self.backend)
         allowed = set(allowed_times) if allowed_times is not None else None
 
         strategy = (
@@ -111,7 +105,6 @@ class GlobalGreedy(RevMaxAlgorithm):
             use_two_level_heap=self._use_two_level_heap,
             seed_priorities=SEED_ISOLATED,
             max_selections=self._max_selections(instance, allowed) + len(strategy),
-            use_compiled=self._use_compiled,
         )
         growth_curve: List[Tuple[int, float]] = []
         # candidates=None is the whole ground set; the selector seeds from
@@ -149,7 +142,6 @@ class GlobalGreedy(RevMaxAlgorithm):
             not self._ignore_saturation
             and self._use_lazy_forward
             and self._use_two_level_heap
-            and self._use_compiled is not False
             and resolve_backend(self.backend) == "numpy"
         )
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.entities import Triple
 from repro.core.problem import RevMaxInstance
-from repro.core.revenue import kernel_for_backend
+from repro.core.revenue import RevenueModel
 
 __all__ = ["optimal_group_plan", "GroupDecompositionBound", "GroupBoundResult"]
 
@@ -95,12 +95,12 @@ def optimal_group_plan(
     best_subset: List[Triple] = []
     best_revenue = 0.0
     limit = instance.display_limit
-    kernel = kernel_for_backend(backend)
+    group_revenue = RevenueModel(instance, backend).group_revenue
     for size in range(1, len(candidates) + 1):
         for subset in combinations(candidates, size):
             if not _respects_group_display_limit(subset, limit):
                 continue
-            revenue = kernel(instance, list(subset))
+            revenue = group_revenue(list(subset))
             if revenue > best_revenue:
                 best_revenue = revenue
                 best_subset = list(subset)

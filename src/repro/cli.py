@@ -258,15 +258,29 @@ def _command_exhibit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_instance(path: str):
+    """Read ``--load``'s instance (``.npz`` or JSON by suffix).
+
+    Returns ``None`` after printing a one-line error when the file cannot
+    be read as an instance (a truncated or empty archive, say).
+    """
+    try:
+        if str(path).endswith(".npz"):
+            return repro_io.load_instance_npz(path)
+        return repro_io.load_instance(path)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+
+
 def _command_resolve(args: argparse.Namespace) -> int:
     import time
 
     from repro.dynamic import IncrementalSolver, load_delta
 
-    if str(args.load).endswith(".npz"):
-        instance = repro_io.load_instance_npz(args.load)
-    else:
-        instance = repro_io.load_instance(args.load)
+    instance = _load_instance(args.load)
+    if instance is None:
+        return 2
     delta = load_delta(args.delta) if args.delta else None
     if args.state:
         try:
@@ -328,10 +342,9 @@ def _format_bytes(count: int) -> str:
 
 def _command_info(args: argparse.Namespace) -> int:
     if args.load is not None:
-        if str(args.load).endswith(".npz"):
-            instance = repro_io.load_instance_npz(args.load)
-        else:
-            instance = repro_io.load_instance(args.load)
+        instance = _load_instance(args.load)
+        if instance is None:
+            return 2
     else:
         instance = prepare_dataset(
             args.dataset, scale=args.scale, seed=args.seed

@@ -20,9 +20,9 @@ actually want:
   only diagnostics and future group-parallel kernels need it).
 
 Compilation is value-preserving by construction: every tensor entry is the
-exact float stored in the object layer, so arithmetic performed on compiled
-tensors is bit-identical to the object path (asserted by
-``tests/test_compiled.py``).
+exact float stored in the object layer, so the numpy revenue backend, which
+gathers from these tensors, reads the floats the python backend reads from
+the adoption table (asserted by ``tests/test_compiled.py``).
 
 Entry points
 ------------
@@ -35,7 +35,7 @@ Entry points
     pair dict is ever materialized.
 ``CompiledInstance.to_instance()``
     materialize a plain dict-backed instance (the pre-compilation layout),
-    used by equivalence tests and benchmarks that need the object path.
+    used by equivalence tests and the object-layout benchmarks.
 """
 
 from __future__ import annotations
@@ -616,43 +616,6 @@ class CompiledInstance:
     def num_groups(self) -> int:
         """Number of non-empty (user, class) candidate groups."""
         return int(self._ensure_groups()[1].shape[0])
-
-    # ------------------------------------------------------------------
-    # group gathers (the RevenueModel hot path)
-    # ------------------------------------------------------------------
-    def group_arrays(self, group) -> "GroupArrays":
-        """Flatten a (user, class) group of triples against the tensors.
-
-        Drop-in replacement for ``GroupArrays.from_group``: probabilities are
-        gathered from ``pair_probs`` instead of per-triple dict lookups.
-        Triples whose pair is absent from the candidate table contribute the
-        primitive probability 0.0, matching the object path.
-        """
-        from repro.core.vectorized import GroupArrays
-
-        n = len(group)
-        users = np.fromiter((z[0] for z in group), dtype=np.int64, count=n)
-        items = np.fromiter((z[1] for z in group), dtype=np.int64, count=n)
-        times = np.fromiter((z[2] for z in group), dtype=np.intp, count=n)
-        if self.num_pairs == 0:
-            # Matches the object path: absent pairs have probability zero.
-            primitives = np.zeros(n)
-        else:
-            rows = self.pair_rows(users, items)
-            found = rows >= 0
-            primitives = np.where(
-                found,
-                self.pair_probs[np.where(found, rows, 0), times],
-                0.0,
-            )
-        items = items.astype(np.intp, copy=False)
-        return GroupArrays(
-            times=times,
-            items=items,
-            prices=self.prices[items, times],
-            primitives=primitives,
-            betas=self.betas[items],
-        )
 
     # ------------------------------------------------------------------
     # conversions

@@ -261,11 +261,11 @@ class RevMaxInstance:
         ``.npz``) compile for free.  The cache is invalidated when the
         adoption table is mutated after compilation.
         """
-        from repro.core.compiled import CompiledInstance
-
         cached = getattr(self, "_compiled", None)
         version = getattr(self.adoption, "_version", 0)
         if cached is None or cached.source_version != version:
+            from repro.core.compiled import CompiledInstance
+
             cached = CompiledInstance.from_instance(self)
             self._compiled = cached
         return cached

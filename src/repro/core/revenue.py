@@ -18,20 +18,24 @@ Times are 0-based (``0 .. T-1``).  Memory at a time step only counts strictly
 earlier recommendations, which reproduces the paper's convention that
 ``X_S(u, i, 1) = 0`` at the first step.
 
-The module-level functions are the pure-Python *reference* kernels.
-:class:`RevenueModel` dispatches between them and the NumPy-vectorized
-kernels of :mod:`repro.core.vectorized` via its ``backend`` argument.
+The module-level functions are the pure-Python *reference* kernels, reading
+the instance's adoption table.  :class:`RevenueModel` picks an engine via
+its ``backend`` argument: ``"python"`` runs those kernels (the executable
+specification), ``"numpy"`` gathers groups from the instance's columnar
+compilation and runs the same scalar body on small groups and the
+NumPy-vectorized kernels of :mod:`repro.core.vectorized` on large ones.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.entities import Triple
 from repro.core.problem import RevMaxInstance
 from repro.core.strategy import Strategy
 from repro.core.vectorized import (
+    GroupArrays,
     resolve_backend,
     vectorized_extended_group_revenues,
     vectorized_group_revenue,
@@ -41,8 +45,6 @@ __all__ = [
     "memory_term",
     "group_dynamic_probability",
     "group_revenue",
-    "adaptive_group_revenue",
-    "kernel_for_backend",
     "VECTORIZE_MIN_GROUP",
     "RevenueModel",
 ]
@@ -126,8 +128,11 @@ class _CompiledGather:
 
     Lives for one evaluation call.  Primitives come from
     ``compiled.pair_probs`` as it is when the gather is made (a delta may
-    have replaced the tensor by a patched copy); prices and saturation
-    factors from the instance, exactly as the reference kernels read them.
+    have replaced the tensor by a patched copy); a triple whose pair is
+    absent from the candidate table gets 0.0, as in the adoption table.
+    Prices and saturation factors come from the instance, exactly as the
+    reference kernels read them.  The gathered lists hold the floats
+    :func:`_gather` reads, so both engines compute on identical inputs.
     """
 
     def __init__(self, instance: RevMaxInstance, compiled) -> None:
@@ -202,36 +207,17 @@ def group_revenue(instance: RevMaxInstance, group: Sequence[Triple]) -> float:
 VECTORIZE_MIN_GROUP = 10
 
 
-def adaptive_group_revenue(instance: RevMaxInstance,
-                           group: Sequence[Triple],
-                           compiled=None) -> float:
-    """The "numpy" backend kernel: vectorize dense groups, loop over tiny ones.
+def _batched(group_size: int, num_candidates: int) -> bool:
+    """Whether a bucket's "after" revenues take one broadcasted launch.
 
-    Both branches implement the identical arithmetic of Definitions 1-2, so
-    the dispatch is invisible apart from sub-1e-12 round-off differences.
-    The optional compiled instance feeds both branches their group gathers
-    from contiguous tensors (same floats, bit-identical results); tiny
-    groups then run the reference body of :func:`group_revenue` on them.
+    One launch replaces ``m`` scalar evaluations of O((n+1)^2) pairwise
+    work each; it pays off once that total work clears the same crossover
+    as the per-group dispatch (whose measured break-even is
+    VECTORIZE_MIN_GROUP triples, i.e. VECTORIZE_MIN_GROUP^2 pairwise
+    terms).  Below it every extended group is smaller than
+    VECTORIZE_MIN_GROUP and runs the scalar body.
     """
-    if len(group) >= VECTORIZE_MIN_GROUP:
-        return vectorized_group_revenue(instance, group, compiled)
-    if compiled is None:
-        return group_revenue(instance, group)
-    return _gathered_group_revenue(*_CompiledGather(instance, compiled)(group))
-
-
-def kernel_for_backend(backend: Optional[str]):
-    """Map a backend name (``None`` means numpy) to its revenue kernel.
-
-    The single place the backend-to-kernel mapping is encoded; used by
-    :class:`RevenueModel` and by callers that evaluate groups without a model
-    (e.g. the per-group enumeration in :mod:`repro.algorithms.group_dp`).
-    """
-    return (
-        adaptive_group_revenue
-        if resolve_backend(backend) == "numpy"
-        else group_revenue
-    )
+    return num_candidates * (group_size + 1) ** 2 >= VECTORIZE_MIN_GROUP ** 2
 
 
 class RevenueModel:
@@ -251,37 +237,26 @@ class RevenueModel:
 
     Args:
         instance: the REVMAX instance to evaluate.
-        backend: the group-revenue kernel -- ``"numpy"`` (the vectorized
-            kernels of :mod:`repro.core.vectorized`), ``"python"`` (the
-            reference scalar loops of this module, the executable
-            specification) or ``None`` (numpy).  The numpy backend
-            dispatches adaptively: groups smaller than
-            :data:`VECTORIZE_MIN_GROUP` run the scalar loops
-            (array-construction overhead would dominate), larger groups run
-            the broadcasting kernel.
-        compiled: feed the numpy kernels their group gathers from the
-            instance's columnar compilation (:mod:`repro.core.compiled`).
-            ``None``/``True`` compile lazily (cached on the instance) when
-            the backend is numpy; ``False`` keeps the object path (the
-            pre-compilation engine, for benchmarks and debugging).  The
-            python backend never compiles -- it stays the executable
-            specification of the object layout.
+        backend: the group-revenue engine -- ``"python"`` (the reference
+            scalar loops of this module over the adoption table, the
+            executable specification; it never compiles the instance),
+            ``"numpy"`` or ``None`` (numpy).  The numpy backend gathers
+            every group from the instance's columnar compilation
+            (:mod:`repro.core.compiled`, built here and rebuilt whenever the
+            adoption table changes) and dispatches on size: groups smaller
+            than :data:`VECTORIZE_MIN_GROUP` run the scalar body
+            (array-construction overhead would dominate), larger groups the
+            broadcasting kernels of :mod:`repro.core.vectorized`.
     """
 
-    def __init__(self, instance: RevMaxInstance, backend: Optional[str] = None,
-                 compiled: Optional[bool] = None) -> None:
+    def __init__(self, instance: RevMaxInstance,
+                 backend: Optional[str] = None) -> None:
         self._instance = instance
         self._backend = resolve_backend(backend)
-        self._compiled = (
+        if self._backend == "numpy":
+            # Compiled up front, so copies derived from the instance after
+            # this point (``with_betas``) transplant the cached tensors.
             instance.compiled()
-            if self._backend == "numpy" and compiled is not False
-            else None
-        )
-        if self._compiled is not None:
-            self._kernel = partial(adaptive_group_revenue,
-                                   compiled=self._compiled)
-        else:
-            self._kernel = kernel_for_backend(self._backend)
         self._evaluations = 0
         self._lookups = 0
         # The grouped batch path assumes the reference revenue decomposition;
@@ -354,34 +329,35 @@ class RevenueModel:
         self._lookups += 1
         return self._group_revenue_internal(group)
 
-    def _refresh_compiled(self) -> None:
-        """Stop using compiled tensors once the adoption table is mutated.
-
-        The compiled view is version-checked against the adoption table
-        (one attribute read and an integer compare per evaluation).  On the
-        first staleness hit the model permanently falls back to the object
-        path -- reading the live table like the pre-compilation engine --
-        rather than recompiling, which would cost O(n_pairs) per mutation
-        round and turn interleaved mutate/evaluate workloads quadratic.
-        Models built after the mutations compile fresh tensors again.
-        """
-        compiled = self._compiled
-        if compiled is None:
-            return
-        version = getattr(self._instance.adoption, "_version", 0)
-        if compiled.source_version != version:
-            self._compiled = None
-            self._kernel = kernel_for_backend(self._backend)
-
     def _group_revenue_internal(self, group: Sequence[Triple]) -> float:
         """Group revenue without touching the lookup counter.
 
         The batch path uses this for the shared per-bucket "before" value,
         which is engine bookkeeping rather than a caller-requested score.
         """
-        self._refresh_compiled()
         self._evaluations += 1
-        return self._kernel(self._instance, group)
+        return self._revenue_of(self._gatherer()(group))
+
+    def _gatherer(self) -> Callable[[Sequence[Triple]], tuple]:
+        """The group gather of one evaluation call.
+
+        The python backend looks every member up in the adoption table;
+        the numpy backend reads the instance's compilation as it is now
+        (``instance.compiled()`` is cached and version-checked, so a
+        mutated adoption table is recompiled, and tensors a delta patched
+        are read as patched).
+        """
+        instance = self._instance
+        if self._backend == "python":
+            return partial(_gather, instance)
+        return _CompiledGather(instance, instance.compiled())
+
+    def _revenue_of(self, gathered) -> float:
+        """Definition 2 on one gathered group, dispatched on backend and size."""
+        if (self._backend == "numpy"
+                and len(gathered[0]) >= VECTORIZE_MIN_GROUP):
+            return vectorized_group_revenue(GroupArrays.from_lists(*gathered))
+        return _gathered_group_revenue(*gathered)
 
     # ------------------------------------------------------------------
     # strategy-level quantities
@@ -436,11 +412,10 @@ class RevenueModel:
         and lazy-refresh steps of
         :class:`repro.core.selection.LazyGreedySelector` run on.
 
-        On a compiled model (numpy backend) each bucket is gathered once --
-        one ``pair_row`` per distinct (user, item) per call -- and every
-        group below :data:`VECTORIZE_MIN_GROUP` runs the reference
-        arithmetic on the gathered scalars; larger groups and batches take
-        the same vectorized kernels as before.
+        Each bucket's group and candidates are gathered once (on the numpy
+        backend, one ``pair_row`` per distinct (user, item) per call), and
+        every extended group below :data:`VECTORIZE_MIN_GROUP` runs the
+        reference arithmetic on the gathered scalars.
 
         Counters: a batch over ``k`` not-yet-selected candidates adds exactly
         ``k`` to :attr:`lookups`; :attr:`evaluations` grows by ``k`` plus one
@@ -460,101 +435,41 @@ class RevenueModel:
                 continue
             key = (triple.user, self._instance.class_of(triple.item))
             buckets.setdefault(key, []).append(index)
-        self._refresh_compiled()
-        gather = (
-            _CompiledGather(self._instance, self._compiled)
-            if self._compiled is not None else None
-        )
+        gather = self._gatherer()
         for (user, class_id), indices in buckets.items():
             group = strategy.group(user, class_id)
             candidates = [triples[index] for index in indices]
-            if gather is None:
-                before = self._group_revenue_internal(group) if group else 0.0
-                afters = self._extended_group_revenues(group, candidates)
-            else:
-                before, afters = self._gathered_bucket(group, candidates,
-                                                       gather)
+            before, afters = self._bucket_revenues(group, candidates, gather)
             for index, after in zip(indices, afters):
                 results[index] = after - before
             self._lookups += len(indices)
         return results
 
-    def _use_batched_kernel(self, group: List[Triple],
-                            candidates: List[Triple]) -> bool:
-        """Whether a bucket's "after" revenues take one broadcasted launch.
-
-        One launch replaces ``m`` scalar evaluations of O((n+1)^2) pairwise
-        work each; it pays off once that total work clears the same
-        crossover as the adaptive per-group dispatch (whose measured
-        break-even is VECTORIZE_MIN_GROUP triples, i.e.
-        VECTORIZE_MIN_GROUP^2 pairwise terms).  Below it, the scalar kernel
-        avoids the array-construction overhead -- and every extended group
-        is then smaller than VECTORIZE_MIN_GROUP.
-        """
-        return (
-            self._backend == "numpy"
-            and len(candidates) * (len(group) + 1) ** 2
-            >= VECTORIZE_MIN_GROUP ** 2
-        )
-
-    def _gathered_bucket(self, group: List[Triple], candidates: List[Triple],
-                         gather: "_CompiledGather"
-                         ) -> Tuple[float, List[float]]:
-        """"Before" and "after" revenues of one bucket on a compiled model.
-
-        The dispatch and counters of the kernel path
-        (:meth:`_group_revenue_internal` + :meth:`_extended_group_revenues`),
-        with the group gathered once for the "before" value and every
-        candidate's extension.
-        """
-        base = gather(group) if len(group) < VECTORIZE_MIN_GROUP else None
+    def _bucket_revenues(self, group: List[Triple], candidates: List[Triple],
+                         gather) -> Tuple[float, List[float]]:
+        """"Before" and "after" revenues of one bucket, each gathered once."""
+        base = gather(group)
         before = 0.0
         if group:
             self._evaluations += 1
-            before = (
-                _gathered_group_revenue(*base) if base is not None
-                else vectorized_group_revenue(self._instance, group,
-                                              self._compiled)
-            )
-        if self._use_batched_kernel(group, candidates):
-            afters = vectorized_extended_group_revenues(
-                self._instance, group, candidates, self._compiled
+            before = self._revenue_of(base)
+        self._evaluations += len(candidates)
+        extensions = gather(candidates)
+        if self._backend == "numpy" and _batched(len(group), len(candidates)):
+            return before, vectorized_extended_group_revenues(
+                GroupArrays.from_lists(*base),
+                GroupArrays.from_lists(*extensions),
             ).tolist()
-        else:
-            # Unbatched implies len(group) + 1 < VECTORIZE_MIN_GROUP: the
-            # adaptive kernel would run the scalar body on every extension.
-            items, times, primitives, prices, betas = base
-            afters = [
-                _gathered_group_revenue(
-                    items + [item], times + [t], primitives + [primitive],
-                    prices + [price], betas + [beta],
-                )
-                for item, t, primitive, price, beta in zip(*gather(candidates))
-            ]
-        self._evaluations += len(candidates)
-        return before, afters
-
-    def _extended_group_revenues(
-        self, group: List[Triple], candidates: List[Triple]
-    ) -> List[float]:
-        """``group_revenue(group + [c])`` for each candidate (kernel path).
-
-        The candidates go to the broadcasted kernel in one launch when
-        :meth:`_use_batched_kernel` says so, otherwise to the backend's
-        scalar kernel per candidate.
-        """
-        self._refresh_compiled()
-        if self._use_batched_kernel(group, candidates):
-            computed = vectorized_extended_group_revenues(
-                self._instance, group, candidates, self._compiled
+        # The python backend, or every extended group below
+        # VECTORIZE_MIN_GROUP: the scalar body on each extension.
+        items, times, primitives, prices, betas = base
+        return before, [
+            _gathered_group_revenue(
+                items + [item], times + [t], primitives + [primitive],
+                prices + [price], betas + [beta],
             )
-        else:
-            computed = [
-                self._kernel(self._instance, group + [candidate])
-                for candidate in candidates
-            ]
-        self._evaluations += len(candidates)
-        return [float(value) for value in computed]
+            for item, t, primitive, price, beta in zip(*extensions)
+        ]
 
     def marginal_revenue_components(
         self, strategy: Strategy, triple: Triple

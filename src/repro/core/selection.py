@@ -1,9 +1,8 @@
 """The shared lazy-greedy selection engine of Algorithms 1 and 2.
 
-Every greedy REVMAX solver in the paper -- G-Greedy/GlobalNo (Algorithm 1),
-the per-time-step loop of SL-/RL-Greedy (Algorithm 2), and the greedy warm
-start of the local-search approximation -- is the *same* submodular
-lazy-forward skeleton:
+Every greedy REVMAX solver in the paper -- G-Greedy/GlobalNo (Algorithm 1)
+and the per-time-step loop of SL-/RL-Greedy (Algorithm 2) -- is the *same*
+submodular lazy-forward skeleton:
 
 1. **seed** a max-heap frontier with an optimistic priority per candidate
    (the isolated expected revenue ``p(i,t) * q(u,i,t)`` for Algorithm 1,
@@ -45,11 +44,11 @@ pass, and the frontier is a :class:`repro.heaps.columnar.ColumnarFrontier`
 bulk-built from those arrays, serving ``(row, t, priority)``.  Freshness
 flags are one int per row, since a refresh re-scores every live entry of a
 row at once; a ``Triple`` exists only for a pop's constraint check,
-scoring, admission and trace record.  Ablation configurations and explicit
-candidate pools run the per-triple object loop; both loops select
-identical triples with identical gains (the columnar frontier reproduces
-the incremental heap's tie-breaking for the full-ground-set candidate
-order).
+scoring, admission and trace record.  The python backend, ablation
+configurations and explicit candidate pools run the per-triple object
+loop; both loops select identical triples with identical gains (the
+columnar frontier reproduces the incremental heap's tie-breaking for the
+full-ground-set candidate order).
 
 The algorithms in :mod:`repro.algorithms` reduce to paper-logic-only
 orchestration on top of this class; the selection mechanics live here.
@@ -202,10 +201,6 @@ class LazyGreedySelector:
             until the frontier is exhausted or goes non-positive).
         on_admit: optional ``(triple, gain)`` callback fired after every
             admission (growth-curve hooks beyond the built-in recording).
-        use_compiled: allow the columnar fast path when ``select`` is called
-            with ``candidates=None`` (default).  ``False`` forces the
-            per-triple seeding loop -- the pre-compilation engine, kept for
-            ablations and the scalability benchmarks.
         trace: optional :class:`SelectionTrace` receiving the run's
             per-user pop sequences (the dynamic re-solve layer's warm
             state).
@@ -219,7 +214,6 @@ class LazyGreedySelector:
                  seed_priorities: str = SEED_MARGINAL,
                  max_selections: Optional[int] = None,
                  on_admit: Optional[Callable[[Triple, float], None]] = None,
-                 use_compiled: Optional[bool] = None,
                  trace: Optional[SelectionTrace] = None,
                  ) -> None:
         if seed_priorities not in (SEED_ISOLATED, SEED_MARGINAL):
@@ -236,7 +230,6 @@ class LazyGreedySelector:
         self._seed_priorities = seed_priorities
         self._max_selections = max_selections
         self._on_admit = on_admit
-        self._use_compiled = use_compiled if use_compiled is not None else True
         self._trace = trace
 
     # ------------------------------------------------------------------
@@ -333,13 +326,12 @@ class LazyGreedySelector:
     def _columnar_eligible(self) -> bool:
         """The columnar loop covers the paper-default configuration.
 
-        The python backend is excluded on purpose: it is documented as the
-        executable specification of the object layout and must never
-        trigger compilation or columnar tensor allocations.
+        The python backend is excluded on purpose: it is the executable
+        specification of the object layout and must never trigger
+        compilation or columnar tensor allocations.
         """
         return (
-            self._use_compiled
-            and self._seed_priorities == SEED_ISOLATED
+            self._seed_priorities == SEED_ISOLATED
             and self._use_lazy_forward
             and self._use_two_level_heap
             and self._model.backend == "numpy"

@@ -19,9 +19,11 @@ the same arithmetic as the pure-Python reference in
 :mod:`repro.core.revenue`, so the two backends agree to floating-point
 round-off (enforced by ``tests/test_vectorized.py``).
 
-``RevenueModel`` picks its kernel from one explicit ``backend=`` argument
-(:func:`resolve_backend`): ``"numpy"`` (also what ``None`` means) or
-``"python"``.  The pure-Python backend is kept both as the executable
+The kernels are pure array functions: ``RevenueModel`` gathers a group's
+inputs from the instance's compilation and hands them over as
+:class:`GroupArrays`.  It picks its engine from one explicit ``backend=``
+argument (:func:`resolve_backend`): ``"numpy"`` (also what ``None`` means)
+or ``"python"``.  The pure-Python backend is kept both as the executable
 specification the vectorized kernels are tested against and as a fallback
 for debugging (pure-Python stack traces point at the exact term that
 misbehaves).
@@ -34,8 +36,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.entities import Triple
-from repro.core.problem import RevMaxInstance
 
 __all__ = [
     "BACKENDS",
@@ -84,39 +84,21 @@ class GroupArrays:
         return int(self.times.shape[0])
 
     @classmethod
-    def from_group(cls, instance: RevMaxInstance,
-                   group: Sequence[Triple],
-                   compiled=None) -> "GroupArrays":
-        """Flatten a group of triples into arrays against an instance.
+    def from_lists(cls, items: Sequence[int], times: Sequence[int],
+                   primitives: Sequence[float], prices: Sequence[float],
+                   betas: Sequence[float]) -> "GroupArrays":
+        """Arrays over one gathered group, in group order.
 
-        The triples must share one user and one item class (as produced by
-        :meth:`repro.core.strategy.Strategy.group_of_triple`); this is not
-        re-checked here because the hot path cannot afford it.
-
-        When a :class:`~repro.core.compiled.CompiledInstance` is supplied,
-        the probabilities are gathered from its contiguous ``pair_probs``
-        tensor instead of per-triple adoption-table lookups; the gathered
-        values are the identical floats, so results are bit-identical.
+        Takes the ``(items, times, primitives, prices, betas)`` lists the
+        revenue model gathers from an instance's compilation; the arrays
+        hold the identical floats.
         """
-        if compiled is not None:
-            return compiled.group_arrays(group)
-        n = len(group)
-        # Positional access (z[0] = user, z[1] = item, z[2] = t) works for both
-        # Triple named tuples and plain tuples and is faster than attributes.
-        items = np.fromiter((z[1] for z in group), dtype=np.intp, count=n)
-        times = np.fromiter((z[2] for z in group), dtype=np.intp, count=n)
-        adoption = instance.adoption
-        primitives = np.fromiter(
-            (adoption.probability(z[0], z[1], z[2]) for z in group),
-            dtype=np.float64,
-            count=n,
-        )
         return cls(
-            times=times,
-            items=items,
-            prices=instance.prices[items, times],
-            primitives=primitives,
-            betas=instance.betas[items],
+            times=np.array(times, dtype=np.intp),
+            items=np.array(items, dtype=np.intp),
+            prices=np.array(prices, dtype=np.float64),
+            primitives=np.array(primitives, dtype=np.float64),
+            betas=np.array(betas, dtype=np.float64),
         )
 
 
@@ -182,29 +164,21 @@ def vectorized_group_probabilities(arrays: GroupArrays) -> np.ndarray:
     return np.where(arrays.primitives > 0.0, probabilities, 0.0)
 
 
-def vectorized_group_revenue(instance: RevMaxInstance,
-                             group: Sequence[Triple],
-                             compiled=None) -> float:
+def vectorized_group_revenue(arrays: GroupArrays) -> float:
     """Expected revenue of one (user, class) group (NumPy kernel).
 
-    Drop-in equivalent of :func:`repro.core.revenue.group_revenue`.  Pass
-    the instance's :class:`~repro.core.compiled.CompiledInstance` to gather
-    group arrays from the columnar tensors.
+    The arithmetic of :func:`repro.core.revenue.group_revenue` on the
+    group's arrays.
     """
-    if not group:
+    if arrays.size == 0:
         return 0.0
-    arrays = GroupArrays.from_group(instance, group, compiled)
     probabilities = vectorized_group_probabilities(arrays)
     return float(_ordered_dot(arrays.prices, probabilities))
 
 
-def vectorized_extended_group_revenues(
-    instance: RevMaxInstance,
-    group: Sequence[Triple],
-    candidates: Sequence[Triple],
-    compiled=None,
-) -> np.ndarray:
-    """Revenues of ``group + [c]`` for every candidate ``c``, in one pass.
+def vectorized_extended_group_revenues(base: GroupArrays,
+                                       cand: GroupArrays) -> np.ndarray:
+    """Revenues of ``base + [c]`` for every candidate ``c``, in one pass.
 
     This is the batched-scoring kernel behind
     :meth:`repro.core.revenue.RevenueModel.marginal_revenue_batch`: all
@@ -220,18 +194,15 @@ def vectorized_extended_group_revenues(
       triples it competes with, and the candidate's own survival product.
 
     Returns:
-        Shape ``(m,)`` array; entry ``j`` equals
-        ``group_revenue(instance, list(group) + [candidates[j]])``.
+        Shape ``(m,)`` array; entry ``j`` is the revenue of the base group
+        extended by candidate ``j``.
     """
-    m = len(candidates)
-    if m == 0:
+    if cand.size == 0:
         return np.zeros(0)
-    cand = GroupArrays.from_group(instance, candidates, compiled)
-    if not group:
+    if base.size == 0:
         # Singleton groups: no memory, no competition.
         return cand.prices * cand.primitives
 
-    base = GroupArrays.from_group(instance, group, compiled)
     base_memory = vectorized_memory_terms(base.times)
     delta_bb = (base.times[:, None] - base.times[None, :]).astype(np.float64)
     competes_bb = (delta_bb > 0.0) | (

@@ -226,11 +226,21 @@ def _mmap_npz_members(path: Path) -> Optional[Dict[str, np.ndarray]]:
 
 
 def _load_npz_arrays(path: Path, mmap: bool) -> Dict[str, np.ndarray]:
-    """Load (memory-mapping when possible) and type-check an archive."""
-    arrays = _mmap_npz_members(path) if mmap else None
-    if arrays is None:
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {key: archive[key] for key in archive.files}
+    """Load (memory-mapping when possible) and type-check an archive.
+
+    Raises:
+        ValueError: naming ``path`` when it is not a readable zip archive
+            (an empty or truncated file, say).
+    """
+    try:
+        arrays = _mmap_npz_members(path) if mmap else None
+        if arrays is None:
+            with np.load(path, allow_pickle=False) as archive:
+                arrays = {key: archive[key] for key in archive.files}
+    except (zipfile.BadZipFile, EOFError) as error:
+        raise ValueError(
+            f"{path} is not a readable .npz archive ({error})"
+        ) from error
     kind = str(arrays["kind"])
     if kind != "revmax-instance-columnar":
         raise ValueError(

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro import io as repro_io
 from repro.algorithms.global_greedy import GlobalGreedy
 from repro.cli import build_parser, main
 
@@ -132,6 +133,37 @@ class TestInfoCommand:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "candidate triples (positive q)" in captured.out
+
+
+class TestCorruptArchive:
+    """A truncated or empty ``.npz`` is a one-line CLI error, exit code 2."""
+
+    @pytest.fixture(params=["truncated", "empty"])
+    def corrupt_npz(self, request, small_instance, tmp_path):
+        path = tmp_path / "plan.npz"
+        repro_io.save_instance_npz(small_instance, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2]
+                         if request.param == "truncated" else b"")
+        return path
+
+    @pytest.mark.parametrize("command", ["resolve", "info"])
+    def test_load_exits_2_with_one_line(self, command, corrupt_npz, capsys):
+        assert main([command, "--load", str(corrupt_npz)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert str(corrupt_npz) in lines[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_loader_raises_value_error_naming_the_file(self, corrupt_npz,
+                                                       mmap):
+        with pytest.raises(ValueError, match="not a readable .npz archive") \
+                as raised:
+            repro_io.load_instance_npz(corrupt_npz, mmap=mmap)
+        assert str(corrupt_npz) in str(raised.value)
 
 
 class TestResolveCommand:

@@ -8,9 +8,10 @@ Four layers of guarantees:
 * **view parity** -- a columnar-backed instance answers every
   ``AdoptionTable`` query identically to the dict-backed original;
 * **engine equivalence** -- ``RevenueModel`` revenues and marginal revenues
-  on the compiled tensors match the object path bit-identically (and the
-  python reference to 1e-9), and G-Greedy selects identical strategies
-  through the columnar frontier;
+  on the compiled tensors match the python backend (the executable
+  specification over the object layout) bit-identically wherever both run
+  the scalar body, and to 1e-9 where the numpy backend vectorizes; G-Greedy
+  selects identical strategies through the columnar frontier;
 * **serialization** -- the ``.npz`` format round-trips losslessly and
   memory-maps its tensors on load.
 """
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms.global_greedy import GlobalGreedy
 from repro.core.compiled import ColumnarAdoptionTable, CompiledInstance
 from repro.core.problem import AdoptionTable
-from repro.core.revenue import RevenueModel
+from repro.core.revenue import VECTORIZE_MIN_GROUP, RevenueModel
 from repro.core.strategy import Strategy
 from repro.heaps.columnar import ColumnarFrontier
 from repro import io as repro_io
@@ -37,6 +38,15 @@ def _random_strategy(instance, size, seed):
     rng = np.random.default_rng(seed)
     rng.shuffle(candidates)
     return candidates[:size], candidates[size:]
+
+
+def _assert_engines_agree(numpy_value, python_value, largest_group):
+    """Exact where the numpy engine ran the scalar body, else to 1e-9."""
+    if largest_group < VECTORIZE_MIN_GROUP:
+        assert numpy_value == python_value
+    else:
+        assert numpy_value == pytest.approx(python_value, rel=1e-9,
+                                            abs=1e-12)
 
 
 class TestCompilation:
@@ -215,22 +225,20 @@ class TestEngineEquivalence:
         )
         selected, remaining = _random_strategy(instance, 12, seed)
         strategy = Strategy(instance.catalog, selected)
-        compiled_model = RevenueModel(instance, backend="numpy", compiled=True)
-        object_model = RevenueModel(instance, backend="numpy", compiled=False)
+        compiled_model = RevenueModel(instance, backend="numpy")
         python_model = RevenueModel(instance, backend="python")
-        assert compiled_model.revenue(strategy) == object_model.revenue(strategy)
-        assert compiled_model.revenue(strategy) == pytest.approx(
-            python_model.revenue(strategy), rel=1e-9, abs=1e-12
-        )
+        largest = max((len(group) for _, group in strategy.groups()),
+                      default=0)
+        _assert_engines_agree(compiled_model.revenue(strategy),
+                              python_model.revenue(strategy), largest)
         for triple in remaining[:8]:
-            compiled_marginal = compiled_model.marginal_revenue(strategy, triple)
-            assert compiled_marginal == object_model.marginal_revenue(
-                strategy, triple
+            size = len(strategy.group_of_triple(triple)) + 1
+            _assert_engines_agree(
+                compiled_model.marginal_revenue(strategy, triple),
+                python_model.marginal_revenue(strategy, triple), size,
             )
-            assert compiled_marginal == pytest.approx(
-                python_model.marginal_revenue(strategy, triple),
-                rel=1e-9, abs=1e-12,
-            )
+        assert compiled_model.evaluations == python_model.evaluations
+        assert compiled_model.lookups == python_model.lookups
 
     @settings(deadline=None, max_examples=10)
     @given(seed=st.integers(0, 10**6))
@@ -240,11 +248,25 @@ class TestEngineEquivalence:
         )
         selected, remaining = _random_strategy(instance, 10, seed)
         strategy = Strategy(instance.catalog, selected)
-        compiled_model = RevenueModel(instance, backend="numpy", compiled=True)
-        object_model = RevenueModel(instance, backend="numpy", compiled=False)
+        compiled_model = RevenueModel(instance, backend="numpy")
+        python_model = RevenueModel(instance, backend="python")
+        # A whole batch may take the broadcasted kernel: agreement to 1e-9.
         assert compiled_model.marginal_revenue_batch(strategy, remaining) == (
-            object_model.marginal_revenue_batch(strategy, remaining)
+            pytest.approx(
+                python_model.marginal_revenue_batch(strategy, remaining),
+                rel=1e-9, abs=1e-12,
+            )
         )
+        # One-candidate batches vectorize only from VECTORIZE_MIN_GROUP on.
+        for triple in remaining[:8]:
+            size = len(strategy.group_of_triple(triple)) + 1
+            _assert_engines_agree(
+                compiled_model.marginal_revenue_batch(strategy, [triple]),
+                python_model.marginal_revenue_batch(strategy, [triple]),
+                size,
+            )
+        assert compiled_model.evaluations == python_model.evaluations
+        assert compiled_model.lookups == python_model.lookups
 
     @settings(deadline=None, max_examples=6)
     @given(seed=st.integers(0, 10**6))
@@ -253,12 +275,32 @@ class TestEngineEquivalence:
             num_users=8, num_items=6, num_classes=3, horizon=3, seed=seed
         )
         compiled_result = GlobalGreedy().run(instance)
-        legacy_result = GlobalGreedy(use_compiled=False).run(instance)
+        legacy_result = GlobalGreedy(backend="python").run(instance)
         assert compiled_result.strategy.triples() == (
             legacy_result.strategy.triples()
         )
         assert compiled_result.revenue == legacy_result.revenue
         assert compiled_result.growth_curve == legacy_result.growth_curve
+
+    def test_python_backend_never_compiles(self):
+        # The reference the differential and golden suites compare against
+        # must evaluate the adoption table itself, never the tensors.
+        instance = build_random_instance(
+            num_users=6, num_items=6, num_classes=2, horizon=4, seed=5
+        )
+        assert not isinstance(instance.adoption, ColumnarAdoptionTable)
+        result = GlobalGreedy(backend="python").run(instance)
+        assert len(result.strategy) > 0
+        model = RevenueModel(instance, backend="python")
+        selected, remaining = _random_strategy(instance, 6, seed=5)
+        strategy = Strategy(instance.catalog, selected)
+        model.revenue(strategy)
+        model.marginal_revenue(strategy, remaining[0])
+        model.marginal_revenue_batch(strategy, remaining)
+        assert instance.compiled_or_none() is None
+        # The numpy backend, by contrast, reads the compilation.
+        RevenueModel(instance).revenue(strategy)
+        assert instance.compiled_or_none() is not None
 
     def test_model_tracks_table_mutations_like_object_path(self):
         # A model built before an adoption mutation must evaluate the live
@@ -319,7 +361,6 @@ class TestEngineEquivalence:
         )
         variants = [
             GlobalGreedy(),
-            GlobalGreedy(use_compiled=False),
             GlobalGreedy(use_two_level_heap=False),
             GlobalGreedy(use_lazy_forward=False),
             GlobalGreedy(backend="python"),
@@ -360,16 +401,16 @@ class TestEngineEquivalence:
         # particular -1 must not wrap around to the last time step.
         for times in ([-1], [small_instance.horizon], [-1, 0, 99]):
             results = {}
-            for use_compiled in (True, False):
+            for backend in ("numpy", "python"):
                 strategy = Strategy(small_instance.catalog)
-                model = RevenueModel(small_instance, compiled=use_compiled)
+                model = RevenueModel(small_instance, backend=backend)
                 LazyGreedySelector(
                     small_instance, model, ConstraintChecker(small_instance),
-                    seed_priorities=SEED_ISOLATED, use_compiled=use_compiled,
+                    seed_priorities=SEED_ISOLATED,
                 ).select(strategy, None, allowed_times=times)
-                results[use_compiled] = strategy.triples()
-            assert results[True] == results[False]
-            assert all(z.t in times for z in results[True])
+                results[backend] = strategy.triples()
+            assert results["numpy"] == results["python"]
+            assert all(z.t in times for z in results["numpy"])
 
     def test_allowed_times_matches_legacy_filtering(self, small_instance):
         from repro.algorithms.incomplete_prices import SubHorizonWrapper
@@ -378,7 +419,7 @@ class TestEngineEquivalence:
             small_instance
         )
         legacy = SubHorizonWrapper(
-            GlobalGreedy(use_compiled=False), cutoffs=[1, 2]
+            GlobalGreedy(backend="python"), cutoffs=[1, 2]
         ).run(small_instance)
         assert compiled.strategy.triples() == legacy.strategy.triples()
         assert compiled.revenue == legacy.revenue

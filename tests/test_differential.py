@@ -2,8 +2,9 @@
 
 The repo carries three independent executions of Algorithm 1:
 
-* the **object path** (dict-backed adoption table, per-triple seeding --
-  the pre-compilation engine, kept as the executable specification);
+* the **object path** (``backend="python"``: per-triple seeding and the
+  reference revenue kernels over the adoption table -- the executable
+  specification, which never compiles the instance);
 * the **columnar path** (compiled tensors, bulk-seeded lazy frontier);
 * the **incremental path** (cold solve, then a re-solve after an *empty*
   delta, which must replay to the identical strategy).
@@ -146,9 +147,9 @@ def build_delta(data) -> InstanceDelta:
     )
 
 
-def solve_signature(instance, **kwargs):
+def solve_signature(instance, backend="numpy"):
     """(sorted triples, growth curve) of one G-Greedy configuration."""
-    algorithm = GlobalGreedy(backend="numpy", **kwargs)
+    algorithm = GlobalGreedy(backend=backend)
     strategy = algorithm.build_strategy(instance)
     return sorted(strategy.triples()), algorithm.last_growth_curve
 
@@ -159,7 +160,7 @@ def test_all_engines_agree(data):
     """Object, columnar and incremental-after-empty-delta G-Greedy admit
     identical triples with identical growth curves."""
     instance = build(data)
-    object_path = solve_signature(instance, use_compiled=False)
+    object_path = solve_signature(instance, backend="python")
     columnar = solve_signature(instance)
 
     solver = IncrementalSolver(build(data))

@@ -55,8 +55,7 @@ def _solvers():
     """The solver configurations frozen by the fixtures."""
     return {
         "g-greedy": GlobalGreedy(backend="numpy"),
-        "g-greedy-object-path": GlobalGreedy(backend="numpy",
-                                             use_compiled=False),
+        "g-greedy-object-path": GlobalGreedy(backend="python"),
         "global-no": GlobalGreedyNoSaturation(backend="numpy"),
         "sl-greedy": SequentialLocalGreedy(backend="numpy"),
         "top-re": TopRevenueBaseline(),

@@ -298,23 +298,23 @@ def _traced_run(instance, *, columnar, allowed_times=None, initial=(),
     """One isolated-seeded lazy G-Greedy selection with a trace.
 
     ``columnar=True`` runs the row-keyed columnar loop on ``instance``;
-    ``columnar=False`` runs the object path (``use_compiled=False``, the
-    kernel-path revenue model) on a dict-backed twin of it.
+    ``columnar=False`` runs the object path (``backend="python"`` models,
+    the executable specification) on a dict-backed twin of it.
     """
     source = (instance if columnar
               else instance.compiled().to_instance(catalog=instance.catalog))
     selection_instance = (
         source.with_betas(1.0) if ignore_saturation else source
     )
-    compiled = None if columnar else False
-    model = RevenueModel(selection_instance, compiled=compiled)
-    true_model = (RevenueModel(source, compiled=compiled)
+    backend = "numpy" if columnar else "python"
+    model = RevenueModel(selection_instance, backend=backend)
+    true_model = (RevenueModel(source, backend=backend)
                   if ignore_saturation else None)
     trace = SelectionTrace()
     selector = LazyGreedySelector(
         source, model, ConstraintChecker(source), true_model=true_model,
         seed_priorities=SEED_ISOLATED, max_selections=max_selections,
-        use_compiled=columnar, trace=trace,
+        trace=trace,
     )
     strategy = Strategy(source.catalog, initial)
     curve = []

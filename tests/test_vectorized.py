@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import revenue as revenue_module
 from repro.core.entities import Triple
 from repro.core.revenue import (
     RevenueModel,
@@ -40,6 +41,12 @@ from repro.algorithms.global_greedy import GlobalGreedy
 from repro.algorithms.local_greedy import SequentialLocalGreedy
 
 from tests.conftest import build_random_instance
+
+
+def _arrays(instance, group):
+    """A group's arrays, gathered through the instance's compilation."""
+    gather = revenue_module._CompiledGather(instance, instance.compiled())
+    return GroupArrays.from_lists(*gather(group))
 
 
 def _random_strategy(instance, size, seed):
@@ -77,7 +84,7 @@ class TestKernelEquivalence:
 
     def test_empty_group(self):
         instance = build_random_instance()
-        assert vectorized_group_revenue(instance, []) == 0.0
+        assert vectorized_group_revenue(_arrays(instance, [])) == 0.0
         assert vectorized_memory_terms(np.zeros(0, dtype=int)).shape == (0,)
 
     def test_probabilities_match_paper_example_1(self):
@@ -91,8 +98,7 @@ class TestKernelEquivalence:
         instance.adoption.set(0, 0, [a, a, a])
         instance.adoption.set(0, 1, [a, a, a])
         group = [Triple(0, 0, 0), Triple(0, 1, 1), Triple(0, 0, 2)]
-        arrays = GroupArrays.from_group(instance, group)
-        probabilities = vectorized_group_probabilities(arrays)
+        probabilities = vectorized_group_probabilities(_arrays(instance, group))
         assert probabilities[0] == pytest.approx(a)
         assert probabilities[1] == pytest.approx((1 - a) * a * beta)
         assert probabilities[2] == pytest.approx((1 - a) ** 2 * a * beta ** 1.5)
@@ -106,10 +112,10 @@ class TestKernelEquivalence:
         chosen, _ = _random_strategy(instance, size, seed)
         strategy = Strategy(instance.catalog, chosen)
         for _, group in strategy.groups():
-            assert vectorized_group_revenue(instance, group) == pytest.approx(
+            arrays = _arrays(instance, group)
+            assert vectorized_group_revenue(arrays) == pytest.approx(
                 group_revenue(instance, group), abs=1e-9
             )
-            arrays = GroupArrays.from_group(instance, group)
             probabilities = vectorized_group_probabilities(arrays)
             for j, triple in enumerate(group):
                 assert probabilities[j] == pytest.approx(
