@@ -81,16 +81,17 @@ class SelectionTrace:
     run's *pop sequence*, split per user:
 
     * ``events`` -- for each user, the ordered selector-level pops of that
-      user's candidates as ``(priority, item, t, admitted)`` rows.  A pop
+      user's candidates as ``(priority, item, t, admitted)`` rows, with
+      ``admitted`` a ``0``/``1`` int (the persisted state's encoding).  A pop
       the selector answered with a lazy refresh or a display discard is a
-      *gate* (``admitted=False``): it admits nothing, but its priority is
+      *gate* (``admitted=0``): it admits nothing, but its priority is
       what the rest of the frontier had to beat for the pop to happen, so
       replaying gates reproduces the global interleaving exactly -- even
       when a refresh *raises* a priority (the revenue function is close to
       but not exactly submodular, so that genuinely happens);
-    * ``admissions`` -- the ``(triple, gain)`` admissions in global
-      admission order (for the supported configuration the gain *is* the
-      fresh priority at admission time);
+    * ``admissions`` -- the ``(user, item, t, gain)`` admission rows in
+      global admission order (for the supported configuration the gain
+      *is* the fresh priority at admission time);
     * ``truncated`` -- the run ended at the non-positive break with
       candidates still in the frontier.  The per-user sequences were cut at
       a *global* condition (entries below the break value might still
@@ -111,21 +112,21 @@ class SelectionTrace:
     """
 
     def __init__(self) -> None:
-        self.events: Dict[int, List[Tuple[float, int, int, bool]]] = {}
-        self.admissions: List[Tuple[Triple, float]] = []
+        self.events: Dict[int, List[Tuple[float, int, int, int]]] = {}
+        self.admissions: List[Tuple[int, int, int, float]] = []
         self.truncated = False
         self.capped = False
         self.capacity_blocked = False
 
     def record_admit(self, triple: Triple, gain: float) -> None:
-        self.admissions.append((triple, gain))
+        self.admissions.append((triple.user, triple.item, triple.t, gain))
         self.events.setdefault(triple.user, []).append(
-            (gain, triple.item, triple.t, True)
+            (gain, triple.item, triple.t, 1)
         )
 
     def record_gate(self, triple: Triple, priority: float) -> None:
         self.events.setdefault(triple.user, []).append(
-            (priority, triple.item, triple.t, False)
+            (priority, triple.item, triple.t, 0)
         )
 
     def complete(self) -> bool:

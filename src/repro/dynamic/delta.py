@@ -300,10 +300,9 @@ class InstanceDelta:
 def save_delta(delta: InstanceDelta, path: _PathLike) -> None:
     """Write a delta to a JSON file, atomically."""
     # Imported lazily: repro.io imports the dynamic layer.
-    from repro.io import atomic_write
+    from repro.io import _write_json
 
-    with atomic_write(path) as handle:
-        json.dump(delta.to_dict(), handle, indent=2, sort_keys=True)
+    _write_json(delta.to_dict(), path)
 
 
 def load_delta(path: _PathLike) -> InstanceDelta:

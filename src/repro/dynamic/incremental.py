@@ -66,12 +66,13 @@ import hashlib
 import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import accumulate
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.constraints import ConstraintChecker
-from repro.core.entities import Triple
+from repro.core.entities import ItemCatalog, Triple
 from repro.core.problem import RevMaxInstance
 from repro.core.revenue import RevenueModel
 from repro.core.selection import (
@@ -110,13 +111,22 @@ def instance_signature(instance: RevMaxInstance) -> str:
         digest.update(array.tobytes())
     return digest.hexdigest()
 
-#: One selector-level pop: ``(priority, item, t, admitted)``.
-_Event = Tuple[float, int, int, bool]
+#: One selector-level pop: ``(priority, item, t, admitted)``, ``admitted``
+#: a ``0``/``1`` int (the persisted encoding, kept as is in memory).
+_Event = Tuple[float, int, int, int]
+#: One admission: ``(user, item, t, gain)``.
+_Admit = Tuple[int, int, int, float]
 
 
 @dataclass
 class SolverState:
     """The persistable warm state of an :class:`IncrementalSolver`.
+
+    Rows and sequences are tuples in exactly the shape
+    :func:`repro.io.save_solver_state` encodes, so neither an export nor a
+    warm start converts them one by one.  The state
+    :meth:`IncrementalSolver.state` returns owns its list and dict:
+    mutating it never changes the solver.
 
     Attributes:
         admits: the admission sequence of the last solve in global admission
@@ -124,8 +134,9 @@ class SolverState:
             the growth curve (the running float sum of gains reproduces it
             bit for bit) and the admission order.
         events: the per-user selector-level pop sequences (gates and
-            admissions) the next re-solve merges; see
-            :class:`~repro.core.selection.SelectionTrace`.
+            admissions) the next re-solve merges, each a tuple of
+            ``(priority, item, t, admitted)`` rows with ``admitted`` a
+            ``0``/``1`` int; see :class:`~repro.core.selection.SelectionTrace`.
         complete: whether the sequences are replayable in isolation (the
             recorded run drained its frontier and never hit a capacity
             block).  ``False`` forces the next re-solve onto the cold
@@ -136,20 +147,15 @@ class SolverState:
             mismatched pairing.
     """
 
-    admits: List[Tuple[int, int, int, float]] = field(default_factory=list)
-    events: Dict[int, List[_Event]] = field(default_factory=dict)
+    admits: List[_Admit] = field(default_factory=list)
+    events: Dict[int, Tuple[_Event, ...]] = field(default_factory=dict)
     complete: bool = True
     instance_name: str = "revmax-instance"
     signature: str = ""
 
     def growth_curve(self) -> List[Tuple[int, float]]:
         """Reconstruct the cumulative ``(size, revenue)`` growth curve."""
-        curve: List[Tuple[int, float]] = []
-        total = 0.0
-        for size, (_, _, _, gain) in enumerate(self.admits, start=1):
-            total += gain
-            curve.append((size, total))
-        return curve
+        return _running_curve(self.admits)
 
     def triples(self) -> List[Triple]:
         """Admitted triples in admission order."""
@@ -172,36 +178,60 @@ class IncrementalSolver:
     GlobalNo and the ablation variants re-solve cold through
     :class:`~repro.algorithms.global_greedy.GlobalGreedy` as before.
 
+    The warm state is the last run's ``(user, item, t, gain)`` admission
+    rows plus the per-user event sequences -- the :class:`SolverState`
+    layout.  The cold loop hands over the strategy and growth curve it
+    built anyway; a merge or :meth:`from_state` records only the rows, and
+    :attr:`strategy`, :attr:`growth_curve` and :attr:`revenue` are built
+    from them on first read.  So a warm start followed by a re-solve never
+    builds the pre-delta strategy it is about to replace.
+    ``last_stats`` holds the diagnostics of the last call: ``mode``
+    (``"cold"``, ``"merge"``, ``"replay"`` or ``"from_state"``),
+    ``admitted``, and per mode the dirty/reused split or the
+    ``fallback_reason``.
+
     Args:
         instance: the instance to solve and mutate.  Columnar-backed
             instances re-solve fastest; dict-backed ones work too (their
             cached compilation is patched alongside the table).
-
-    Attributes:
-        strategy: the current solution (after ``solve``/``resolve``).
-        growth_curve: cumulative ``(size, revenue)`` checkpoints, identical
-            to the cold run's.
-        revenue: expected revenue of ``strategy`` (the growth curve's tail).
-        last_stats: diagnostics of the last call -- ``mode`` (``"cold"``,
-            ``"merge"`` or ``"replay"``), ``admitted``, and per mode the
-            dirty/reused split or the ``fallback_reason``.
     """
 
     def __init__(self, instance: RevMaxInstance) -> None:
         self._instance = instance
-        self.strategy: Optional[Strategy] = None
-        self.growth_curve: List[Tuple[int, float]] = []
-        self.revenue: float = 0.0
         self.last_stats: Dict[str, object] = {}
-        self._admit_order: Optional[List[Tuple[Triple, float]]] = None
-        self._events: Dict[int, List[_Event]] = {}
+        self._admits: Optional[List[_Admit]] = None
+        self._events: Dict[int, Tuple[_Event, ...]] = {}
         self._complete = False
         self._state_version = -1
+        self._strategy: Optional[Strategy] = None
+        self._growth_curve: Optional[List[Tuple[int, float]]] = None
 
     @property
     def instance(self) -> RevMaxInstance:
         """The instance this solver owns (mutated in place by deltas)."""
         return self._instance
+
+    @property
+    def strategy(self) -> Optional[Strategy]:
+        """The current solution; ``None`` before the first solve."""
+        if self._strategy is None and self._admits is not None:
+            self._strategy = _strategy_from_admits(self._instance.catalog,
+                                                   self._admits)
+        return self._strategy
+
+    @property
+    def growth_curve(self) -> List[Tuple[int, float]]:
+        """Cumulative ``(size, revenue)`` checkpoints, identical to the
+        cold run's."""
+        if self._growth_curve is None:
+            self._growth_curve = _running_curve(self._admits or ())
+        return self._growth_curve
+
+    @property
+    def revenue(self) -> float:
+        """Expected revenue of :attr:`strategy` (the growth curve's tail)."""
+        curve = self.growth_curve
+        return curve[-1][1] if curve else 0.0
 
     # ------------------------------------------------------------------
     # cold solve
@@ -233,8 +263,8 @@ class IncrementalSolver:
         replayable = not (trace.truncated or trace.capacity_blocked)
         events = {user: _compress_events(sequence)
                   for user, sequence in trace.events.items()}
-        self._install(strategy, growth_curve, list(trace.admissions),
-                      events, replayable)
+        self._install(trace.admissions, events, replayable,
+                      strategy=strategy, growth_curve=growth_curve)
         self.last_stats = {"mode": mode, "admitted": len(strategy), **stats}
 
     # ------------------------------------------------------------------
@@ -258,7 +288,7 @@ class IncrementalSolver:
         """
         if delta is None:
             delta = InstanceDelta()
-        had_state = self._admit_order is not None
+        had_state = self._admits is not None
         # Mutations that did not come through this solver (a direct
         # apply_delta on the instance, table.set calls, ...) invalidate the
         # recorded sequences; the adoption-table mutation counter catches
@@ -308,11 +338,11 @@ class IncrementalSolver:
         }
         reused = sum(len(sequence) for sequence in events.values())
         events.update(dirty_events)
-        strategy, growth_curve, order = self._merge(events)
-        self._install(strategy, growth_curve, order, events, True)
+        admits = self._merge(events)
+        self._install(admits, events, True)
         self.last_stats = {
             "mode": "merge",
-            "admitted": len(strategy),
+            "admitted": len(admits),
             "dirty_users": len(dirty),
             "reused_events": reused,
         }
@@ -321,17 +351,22 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _install(self, strategy: Strategy,
-                 growth_curve: List[Tuple[int, float]],
-                 order: List[Tuple[Triple, float]],
-                 events: Dict[int, List[_Event]],
-                 complete: bool) -> None:
-        self.strategy = strategy
-        self.growth_curve = growth_curve
-        self.revenue = growth_curve[-1][1] if growth_curve else 0.0
-        self._admit_order = order
+    def _install(self, admits: List[_Admit],
+                 events: Dict[int, Tuple[_Event, ...]], complete: bool,
+                 strategy: Optional[Strategy] = None,
+                 growth_curve: Optional[List[Tuple[int, float]]] = None
+                 ) -> None:
+        """Adopt a run's rows and sequences as the warm state.
+
+        ``strategy`` and ``growth_curve`` are passed only by a run that
+        built them anyway; otherwise the properties build them from
+        ``admits`` on first read.
+        """
+        self._admits = admits
         self._events = events
         self._complete = complete
+        self._strategy = strategy
+        self._growth_curve = growth_curve
         self._state_version = getattr(self._instance.adoption, "_version", 0)
 
     def _capacity_safe(self) -> bool:
@@ -371,7 +406,7 @@ class IncrementalSolver:
         return dirty
 
     def _simulate_users(self, users: List[int]
-                        ) -> Tuple[Dict[int, List[_Event]], bool]:
+                        ) -> Tuple[Dict[int, Tuple[_Event, ...]], bool]:
         """Re-run the greedy loop per dirty user on its own candidate rows.
 
         Each user's run is the serial selection loop restricted to the
@@ -386,7 +421,7 @@ class IncrementalSolver:
         model = RevenueModel(instance, backend="numpy")
         checker = ConstraintChecker(instance)
         compiled = instance.compiled()
-        events: Dict[int, List[_Event]] = {}
+        events: Dict[int, Tuple[_Event, ...]] = {}
         replayable = True
         for user in users:
             start = int(compiled.user_ptr[user])
@@ -407,17 +442,19 @@ class IncrementalSolver:
             scratch = Strategy(instance.catalog)
             selector.select(scratch, candidates)
             replayable = replayable and trace.complete()
-            events[user] = _compress_events(trace.events.get(user, []))
+            events[user] = _compress_events(trace.events.get(user, ()))
         return events, replayable
 
-    def _merge(self, events: Dict[int, List[_Event]]):
+    def _merge(self, events: Dict[int, Tuple[_Event, ...]]
+               ) -> List[_Admit]:
         """K-way merge of per-user pop sequences in cold heap order.
 
         The cold columnar frontier serves pops by ``(-priority, CSR row)``;
         with capacity out of the picture each user's next pop is its
         recorded head, so this merge reproduces the cold pop order --
         admissions, refresh gates and discard gates alike -- without
-        touching a revenue kernel.
+        touching a revenue kernel.  Returns the admission rows; the
+        strategy and growth curve are built from them when read.
         """
         # Tie-breaking rows for every event, one vectorized lookup for the
         # whole merge (per-user calls would pay numpy dispatch 10^5 times).
@@ -444,28 +481,21 @@ class IncrementalSolver:
             if sequence:
                 heap.append((-sequence[0][0], int(rows[user][0]), user, 0))
         heapq.heapify(heap)
-        strategy = Strategy(self._instance.catalog)
-        growth_curve: List[Tuple[int, float]] = []
-        order: List[Tuple[Triple, float]] = []
-        revenue = 0.0
+        admits: List[_Admit] = []
         with _gc_paused():
             while heap:
                 _, _, user, position = heapq.heappop(heap)
                 sequence = events[user]
                 priority, item, t, admitted = sequence[position]
                 if admitted:
-                    triple = Triple(user, item, t)
-                    strategy.add(triple)
-                    revenue += priority
-                    growth_curve.append((len(strategy), revenue))
-                    order.append((triple, priority))
+                    admits.append((user, item, t, priority))
                 position += 1
                 if position < len(sequence):
                     heapq.heappush(heap, (
                         -sequence[position][0], int(rows[user][position]),
                         user, position,
                     ))
-        return strategy, growth_curve, order
+        return admits
 
     # ------------------------------------------------------------------
     # persistence
@@ -476,14 +506,11 @@ class IncrementalSolver:
         Raises:
             ValueError: when no solve has run yet.
         """
-        if self._admit_order is None:
+        if self._admits is None:
             raise ValueError("no solver state to export: call solve() first")
         return SolverState(
-            admits=[
-                (int(z.user), int(z.item), int(z.t), float(gain))
-                for z, gain in self._admit_order
-            ],
-            events=self._events,
+            admits=list(self._admits),
+            events=dict(self._events),
             complete=self._complete,
             instance_name=self._instance.name,
             signature=instance_signature(self._instance),
@@ -493,6 +520,11 @@ class IncrementalSolver:
     def from_state(cls, instance: RevMaxInstance,
                    state: SolverState) -> "IncrementalSolver":
         """Rebuild a warm solver from a persisted state.
+
+        The rows and sequences are installed as they are; the strategy,
+        growth curve and revenue are built from the rows on first read, so
+        a warm start that goes straight into :meth:`resolve` never builds
+        the strategy the re-solve replaces.
 
         The state is only meaningful against the exact tensors it was
         computed on, so the recorded content digest is checked against
@@ -513,30 +545,37 @@ class IncrementalSolver:
                 f"repro resolve --save-state/--save-instance)"
             )
         solver = cls(instance)
-        order: List[Tuple[Triple, float]] = []
-        strategy = Strategy(instance.catalog)
-        growth_curve: List[Tuple[int, float]] = []
-        revenue = 0.0
-        for user, item, t, gain in state.admits:
-            triple = Triple(int(user), int(item), int(t))
-            order.append((triple, float(gain)))
-            strategy.add(triple)
-            revenue += float(gain)
-            growth_curve.append((len(strategy), revenue))
-        events = {
-            int(user): [
-                (float(priority), int(item), int(t), bool(admitted))
-                for priority, item, t, admitted in sequence
-            ]
-            for user, sequence in state.events.items()
-        }
-        solver._install(strategy, growth_curve, order, events,
-                        bool(state.complete))
-        solver.last_stats = {"mode": "from_state", "admitted": len(strategy)}
+        # Shallow copies: the caller's state stays its own to mutate.
+        solver._install(
+            list(state.admits),
+            {user: tuple(sequence) for user, sequence in state.events.items()},
+            bool(state.complete),
+        )
+        solver.last_stats = {"mode": "from_state",
+                             "admitted": len(state.admits)}
         return solver
 
 
-def _compress_events(sequence: List[_Event]) -> List[_Event]:
+def _running_curve(admits: Iterable[_Admit]) -> List[Tuple[int, float]]:
+    """The growth curve of admission rows: the running float sum of gains.
+
+    Summed left to right from ``0.0`` exactly as the admit loop sums, so
+    the curve is bit-identical to the one the run recorded.
+    """
+    totals = accumulate((row[3] for row in admits), initial=0.0)
+    next(totals)
+    return list(enumerate(totals, start=1))
+
+
+def _strategy_from_admits(catalog: ItemCatalog,
+                          admits: Iterable[_Admit]) -> Strategy:
+    """The strategy admission rows encode, added in admission order."""
+    with _gc_paused():
+        return Strategy(catalog,
+                        (Triple(user, item, t) for user, item, t, _ in admits))
+
+
+def _compress_events(sequence: List[_Event]) -> Tuple[_Event, ...]:
     """Drop the gates that cannot affect the merge (usually almost all).
 
     A gate's only role is to *hide* the user's later, higher-valued events
@@ -562,19 +601,18 @@ def _compress_events(sequence: List[_Event]) -> List[_Event]:
             kept.append(event)
         if priority > suffix_max:
             suffix_max = priority
-    kept.reverse()
-    return kept
+    return tuple(reversed(kept))
 
 
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector, restoring its prior state.
 
-    The merge allocates a few long-lived objects per admission (triples,
-    strategy index entries, curve points) and creates no reference cycles,
-    so collector passes find nothing to free -- yet each one walks the
-    solver's whole live state.  At 100k users they tripled the merge
-    (about 6 s paused against 19 s running).
+    The merge and the strategy build allocate a few long-lived objects per
+    admission (rows, triples, strategy index entries) and create no
+    reference cycles, so collector passes find nothing to free -- yet each
+    one walks the solver's whole live state.  At 100k users they tripled
+    the merge (about 6 s paused against 19 s running).
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -15,6 +15,9 @@ produced by other tools:
 * strategies store a list of ``[user, item, t]`` triples;
 * results store the scalar summary plus the strategy inline.
 
+Every JSON document is written compact and key-sorted by CPython's C
+encoder (:func:`_write_json`); readers accept indented files too.
+
 Binary columnar format
 ----------------------
 JSON is the interchange format; it is neither compact nor fast at
@@ -345,13 +348,18 @@ def solver_state_to_dict(state: SolverState) -> Dict:
     """Encode an incremental solver's warm state as a JSON document.
 
     The document holds the admission sequence in global admission order
-    (triple + float gain per row) plus the per-user pop sequences the next
-    re-solve merges -- exactly what
+    (``[user, item, t, gain]`` rows) plus the per-user pop sequences the
+    next re-solve merges (``[priority, item, t, admitted]`` rows,
+    ``admitted`` 0 or 1) -- exactly what
     :meth:`repro.dynamic.incremental.IncrementalSolver.state` exports.
     Persisted alongside the instance's ``.npz``, it lets a later process
     warm-start an incremental re-solve without re-running the cold solve.
-    Floats round-trip exactly (``json`` uses ``repr`` shortest-round-trip
-    encoding), so a warm start preserves the bit-identity guarantee.
+
+    The state's rows already have the document's shape, so they pass to
+    the encoder untouched; only the user keys become strings.  The file is
+    compact, key-sorted JSON from the C encoder (see :func:`_write_json`).
+    Floats round-trip exactly (``repr`` shortest-round-trip encoding), so a
+    warm start preserves the bit-identity guarantee.
     """
     return {
         "format_version": FORMAT_VERSION,
@@ -359,33 +367,24 @@ def solver_state_to_dict(state: SolverState) -> Dict:
         "instance_name": state.instance_name,
         "signature": state.signature,
         "complete": bool(state.complete),
-        "admits": [
-            [int(user), int(item), int(t), float(gain)]
-            for user, item, t, gain in state.admits
-        ],
-        "events": {
-            str(user): [
-                [float(priority), int(item), int(t), int(admitted)]
-                for priority, item, t, admitted in sequence
-            ]
-            for user, sequence in state.events.items()
-        },
+        "admits": state.admits,
+        "events": {str(user): sequence
+                   for user, sequence in state.events.items()},
     }
 
 
 def solver_state_from_dict(document: Dict) -> SolverState:
-    """Decode a solver state from :func:`solver_state_to_dict`'s document."""
+    """Decode a solver state from :func:`solver_state_to_dict`'s document.
+
+    The one conversion of loaded values: JSON arrays become the tuples
+    :class:`~repro.dynamic.incremental.SolverState` holds and user keys
+    become ints.  Reads indented files from older writers as well.
+    """
     _check_document(document, "revmax-solver-state")
     return SolverState(
-        admits=[
-            (int(user), int(item), int(t), float(gain))
-            for user, item, t, gain in document["admits"]
-        ],
+        admits=list(map(tuple, document["admits"])),
         events={
-            int(user): [
-                (float(priority), int(item), int(t), bool(admitted))
-                for priority, item, t, admitted in sequence
-            ]
+            int(user): tuple(map(tuple, sequence))
             for user, sequence in document.get("events", {}).items()
         },
         complete=bool(document.get("complete", False)),
@@ -483,9 +482,30 @@ def atomic_write(path: _PathLike, mode: str = "w") -> Iterator[IO]:
         raise
 
 
+#: Characters per ``write`` call of :func:`_write_text`.
+_WRITE_SLICE = 1 << 16
+
+
 def _write_json(document: Dict, path: _PathLike) -> None:
+    """Write ``document`` as compact, key-sorted JSON, atomically.
+
+    ``json.dumps`` with compact separators and no indent runs CPython's C
+    encoder; ``json.dump`` or any ``indent`` falls back to the pure-Python
+    one, several times slower, and indenting makes files ~2.5x larger.
+    """
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
     with atomic_write(path) as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
+        _write_text(handle, text)
+
+
+def _write_text(handle: IO, text: str) -> None:
+    """Write ``text`` in 64 KiB slices.
+
+    One ``write`` of the whole text would encode it to a second full-size
+    bytes copy first; slices keep that copy small.
+    """
+    for start in range(0, len(text), _WRITE_SLICE):
+        handle.write(text[start:start + _WRITE_SLICE])
 
 
 def _read_json(path: _PathLike) -> Dict:

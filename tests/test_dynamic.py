@@ -16,6 +16,7 @@ Three layers, mirroring the module structure:
 from __future__ import annotations
 
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -439,6 +440,121 @@ class TestIncrementalSolver:
         reference, curve = cold_reference(mutated)
         assert sorted(strategy.triples()) == reference
         assert solver.growth_curve == curve
+
+
+# ----------------------------------------------------------------------
+# warm state: the persisted file and the lazily built views
+# ----------------------------------------------------------------------
+class TestWarmState:
+    #: A seed whose delta (without new users) re-solves by merge.
+    SEED = 10
+
+    def _solved(self, *, resolved=False):
+        """A solver on a MERGE_FRIENDLY instance, optionally one merge on."""
+        instance = build_random_instance(seed=self.SEED, **MERGE_FRIENDLY)
+        solver = IncrementalSolver(instance)
+        solver.solve()
+        if resolved:
+            solver.resolve(random_delta(instance, seed=self.SEED,
+                                        with_new_users=False))
+            assert solver.last_stats["mode"] == "merge"
+        return solver
+
+    def _twin(self, state, *, resolved=False):
+        instance = build_random_instance(seed=self.SEED, **MERGE_FRIENDLY)
+        if resolved:
+            apply_delta(instance, random_delta(instance, seed=self.SEED,
+                                               with_new_users=False))
+        return IncrementalSolver.from_state(instance, state)
+
+    def test_old_indented_state_file_warm_starts(self, tmp_path):
+        solver = self._solved()
+        path = tmp_path / "state.json"
+        with path.open("w", encoding="utf-8") as handle:
+            json.dump(repro_io.solver_state_to_dict(solver.state()), handle,
+                      indent=2, sort_keys=True)
+        twin = self._twin(repro_io.load_solver_state(path))
+        assert twin.strategy.triples() == solver.strategy.triples()
+        assert twin.growth_curve == solver.growth_curve
+
+    def test_saved_file_is_canonical_compact_json(self, tmp_path):
+        solver = self._solved(resolved=True)
+        state = solver.state()
+        path = tmp_path / "state.json"
+        repro_io.save_solver_state(state, path)
+        text = path.read_text(encoding="utf-8")
+        document = json.loads(text)
+        assert text == json.dumps(document, sort_keys=True,
+                                  separators=(",", ":"))
+        flags = [row[3] for rows in document["events"].values()
+                 for row in rows]
+        assert flags and {type(flag) for flag in flags} == {int}
+        assert set(flags) <= {0, 1}
+        loaded = repro_io.load_solver_state(path)
+        assert [row[3].hex() for row in loaded.admits] == [
+            float(row[3]).hex() for row in state.admits
+        ]
+        assert loaded.admits == state.admits
+        assert loaded.events == state.events
+
+    def test_lazy_views_after_from_state_match_cold(self):
+        solver = self._solved()
+        twin = self._twin(solver.state())
+        assert twin.last_stats == {"mode": "from_state",
+                                   "admitted": len(solver.strategy)}
+        assert twin.strategy.triples() == solver.strategy.triples()
+        assert twin.growth_curve == solver.growth_curve
+        assert twin.revenue == solver.revenue
+
+    def test_resolve_after_from_state_never_builds_pre_delta_strategy(
+            self, tmp_path, monkeypatch):
+        from repro.dynamic import incremental
+
+        solver = self._solved()
+        path = tmp_path / "state.json"
+        repro_io.save_solver_state(solver.state(), path)
+        loaded = repro_io.load_solver_state(path)
+        built = []
+        original = incremental._strategy_from_admits
+
+        def recording(catalog, admits):
+            built.append(list(admits))
+            return original(catalog, admits)
+
+        monkeypatch.setattr(incremental, "_strategy_from_admits", recording)
+        twin = self._twin(loaded)
+        instance = twin.instance
+        delta = random_delta(instance, seed=self.SEED, with_new_users=False)
+        strategy = twin.resolve(copy_delta(delta))
+        assert twin.last_stats["mode"] == "merge"
+        post = twin.state().admits
+        # The delta moved the plan, so a pre-delta build would show here.
+        assert post != loaded.admits
+        assert built == [post]
+
+        mutated = build_random_instance(seed=self.SEED, **MERGE_FRIENDLY)
+        apply_delta(mutated, copy_delta(delta))
+        reference, curve = cold_reference(mutated)
+        assert sorted(strategy.triples()) == reference
+        assert twin.growth_curve == curve
+
+    def test_states_are_detached_from_the_solver(self):
+        solver = self._solved(resolved=True)
+        before = repro_io.solver_state_to_dict(solver.state())
+        exported = solver.state()
+        assert all(isinstance(sequence, tuple)
+                   for sequence in exported.events.values())
+        exported.admits.clear()
+        exported.events.clear()
+        exported.complete = False
+        assert repro_io.solver_state_to_dict(solver.state()) == before
+
+        imported = solver.state()
+        twin = self._twin(imported, resolved=True)
+        imported.admits.reverse()
+        imported.events.clear()
+        assert repro_io.solver_state_to_dict(twin.state()) == before
+        assert twin.strategy.triples() == solver.strategy.triples()
 
 
 # ----------------------------------------------------------------------

@@ -149,8 +149,8 @@ class TestAtomicWrites:
         repro_io.save_instance(small_instance, path)
         before = path.read_bytes()
         monkeypatch.setattr(
-            json, "dump",
-            lambda document, handle, **kwargs: self._explode(handle, "{"),
+            repro_io, "_write_text",
+            lambda handle, text: self._explode(handle, text[:1]),
         )
         with pytest.raises(RuntimeError, match="disk full"):
             repro_io.save_instance(small_instance, path)

@@ -377,7 +377,7 @@ class TestColumnarLoopDifferential:
     @pytest.mark.parametrize("allowed", [{0, 2, 3}, {1}, {3, 7}])
     def test_allowed_times_subsets(self, allowed):
         run = self._assert_agree(_synthetic(4), allowed_times=allowed)
-        assert {z.t for z, _ in run["admissions"]} <= allowed
+        assert {t for _, _, t, _ in run["admissions"]} <= allowed
 
     @pytest.mark.parametrize("seed", range(2))
     def test_non_empty_initial_strategy(self, seed):
