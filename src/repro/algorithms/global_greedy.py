@@ -24,12 +24,16 @@ sub-horizon at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.constraints import ConstraintChecker
 from repro.core.problem import RevMaxInstance
 from repro.core.revenue import RevenueModel
-from repro.core.selection import SEED_ISOLATED, LazyGreedySelector
+from repro.core.selection import (
+    SEED_ISOLATED,
+    LazyGreedySelector,
+    selection_bound,
+)
 from repro.core.strategy import Strategy
 from repro.algorithms.base import RevMaxAlgorithm
 
@@ -104,7 +108,7 @@ class GlobalGreedy(RevMaxAlgorithm):
             use_lazy_forward=self._use_lazy_forward,
             use_two_level_heap=self._use_two_level_heap,
             seed_priorities=SEED_ISOLATED,
-            max_selections=self._max_selections(instance, allowed) + len(strategy),
+            max_selections=selection_bound(instance, allowed) + len(strategy),
         )
         growth_curve: List[Tuple[int, float]] = []
         # candidates=None is the whole ground set; the selector seeds from
@@ -123,13 +127,6 @@ class GlobalGreedy(RevMaxAlgorithm):
             "ignore_saturation": self._ignore_saturation,
         }
         return strategy
-
-    @staticmethod
-    def _max_selections(instance: RevMaxInstance,
-                        allowed: Optional[Set[int]]) -> int:
-        """Upper bound ``k * T * |users with candidates|`` on selections."""
-        horizon = len(allowed) if allowed is not None else instance.horizon
-        return instance.display_limit * horizon * max(1, len(instance.users()))
 
     # ------------------------------------------------------------------
     # dynamic re-solve

@@ -289,7 +289,8 @@ def _command_resolve(args: argparse.Namespace) -> int:
             )
         except ValueError as error:
             # A state saved against other tensors (a stale plan.npz next to
-            # a newer state.json): report it as a CLI error, not a traceback.
+            # a newer state.json) or carrying no signature: report it as a
+            # CLI error, not a traceback.
             print(f"error: {error}", file=sys.stderr)
             return 2
     else:

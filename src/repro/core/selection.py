@@ -24,7 +24,7 @@ submodular lazy-forward skeleton:
 * the *seeding rule*: :data:`SEED_ISOLATED` or :data:`SEED_MARGINAL`;
 * a *selection model* distinct from the *true model* (the GlobalNo baseline
   selects as if ``beta = 1`` but reports true gains);
-* optional growth-curve recording and an ``on_admit`` hook.
+* optional growth-curve recording and a :class:`SelectionTrace`.
 
 Candidate scoring is batched: heap seeding and per-group refreshes go
 through :meth:`repro.core.revenue.RevenueModel.marginal_revenue_batch`, so a
@@ -48,7 +48,9 @@ scoring, admission and trace record.  The python backend, ablation
 configurations and explicit candidate pools run the per-triple object
 loop; both loops select identical triples with identical gains (the
 columnar frontier reproduces the incremental heap's tie-breaking for the
-full-ground-set candidate order).
+full-ground-set candidate order).  Both honour the ``allowed_times`` and
+``users`` whitelists of :meth:`LazyGreedySelector.select`; the incremental
+re-solver re-runs its dirty users in one ``users``-restricted pass.
 
 The algorithms in :mod:`repro.algorithms` reduce to paper-logic-only
 orchestration on top of this class; the selection mechanics live here.
@@ -56,7 +58,7 @@ orchestration on top of this class; the selection mechanics live here.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -70,7 +72,7 @@ from repro.heaps.columnar import ColumnarFrontier
 from repro.heaps.two_level import TwoLevelHeap
 
 __all__ = ["LazyGreedySelector", "SelectionTrace", "SEED_ISOLATED",
-           "SEED_MARGINAL", "build_columnar_frontier"]
+           "SEED_MARGINAL", "build_columnar_frontier", "selection_bound"]
 
 
 class SelectionTrace:
@@ -102,11 +104,10 @@ class SelectionTrace:
       complete sequences;
     * ``capped`` -- the run exited at its ``max_selections`` cap with
       candidates still in the frontier.  Generally as unreplayable as a
-      break, *except* when the cap is the display-theoretic bound
-      ``k * T * |users|``: reaching it means every user's slots are full,
-      the unrecorded suffix of every sequence is pure display discards,
-      and omitting it changes nothing (the incremental solver relies on
-      exactly that);
+      break, *except* when the cap is :func:`selection_bound`: reaching it
+      means every user's slots are full, the unrecorded suffix of every
+      sequence is pure display discards, and omitting it changes nothing
+      (the incremental solver relies on exactly that);
     * ``capacity_blocked`` -- a capacity constraint fired, coupling users;
       per-user replay is then unsound and the re-solver falls back.
     """
@@ -129,26 +130,32 @@ class SelectionTrace:
             (priority, triple.item, triple.t, 0)
         )
 
-    def complete(self) -> bool:
-        """True when the per-user sequences are replayable in isolation.
 
-        ``capped`` runs are excluded here; a caller whose cap provably
-        implies display saturation (see above) may accept them explicitly.
-        """
-        return not (self.truncated or self.capped or self.capacity_blocked)
+def selection_bound(instance: RevMaxInstance,
+                    allowed_times: Optional[Collection[int]] = None) -> int:
+    """The display-theoretic admission bound ``k * T * |users|``.
+
+    ``users`` are the users with candidates and ``T`` counts
+    ``allowed_times`` when given.  The display constraint caps every
+    strategy at this size, so a run stopped here has filled every user's
+    display slots.
+    """
+    horizon = instance.horizon if allowed_times is None else len(allowed_times)
+    return instance.display_limit * horizon * max(1, len(instance.users()))
 
 
 def build_columnar_frontier(compiled, strategy: Strategy,
-                            allowed_times: Optional[Iterable[int]]
+                            allowed_times: Optional[Iterable[int]],
+                            users: Optional[Iterable[int]] = None
                             ) -> ColumnarFrontier:
     """Bulk-build the isolated-seeded G-Greedy frontier over a compilation.
 
     One vectorized pass: seed priorities are the compiled
     ``(n_pairs, T)`` isolated-revenue matrix, masked to positive entries
     (submodularity: non-positive seeds can never be admitted), to the
-    ``allowed_times`` whitelist (out-of-range times match no candidate,
-    exactly like the per-triple path's membership filter), and away from
-    triples already in ``strategy``.
+    ``allowed_times`` and ``users`` whitelists (out-of-range values match
+    no candidate, exactly like the per-triple path's membership filters),
+    and away from triples already in ``strategy``.
     """
     priorities = compiled.isolated_revenues()
     seeded = priorities > 0.0
@@ -156,6 +163,10 @@ def build_columnar_frontier(compiled, strategy: Strategy,
         mask = np.zeros(compiled.horizon, dtype=bool)
         mask[[t for t in allowed_times if 0 <= t < compiled.horizon]] = True
         seeded &= mask[None, :]
+    if users is not None:
+        mask = np.zeros(compiled.num_users, dtype=bool)
+        mask[[u for u in users if 0 <= u < compiled.num_users]] = True
+        seeded &= np.repeat(mask, np.diff(compiled.user_ptr))[:, None]
     for triple in strategy:
         row = compiled.pair_row(triple.user, triple.item)
         if row >= 0 and 0 <= triple.t < compiled.horizon:
@@ -200,8 +211,6 @@ class LazyGreedySelector:
         seed_priorities: :data:`SEED_ISOLATED` or :data:`SEED_MARGINAL`.
         max_selections: absolute cap on the strategy size (``None``: admit
             until the frontier is exhausted or goes non-positive).
-        on_admit: optional ``(triple, gain)`` callback fired after every
-            admission (growth-curve hooks beyond the built-in recording).
         trace: optional :class:`SelectionTrace` receiving the run's
             per-user pop sequences (the dynamic re-solve layer's warm
             state).
@@ -214,7 +223,6 @@ class LazyGreedySelector:
                  use_two_level_heap: bool = True,
                  seed_priorities: str = SEED_MARGINAL,
                  max_selections: Optional[int] = None,
-                 on_admit: Optional[Callable[[Triple, float], None]] = None,
                  trace: Optional[SelectionTrace] = None,
                  ) -> None:
         if seed_priorities not in (SEED_ISOLATED, SEED_MARGINAL):
@@ -230,7 +238,6 @@ class LazyGreedySelector:
         self._use_two_level_heap = use_two_level_heap
         self._seed_priorities = seed_priorities
         self._max_selections = max_selections
-        self._on_admit = on_admit
         self._trace = trace
 
     # ------------------------------------------------------------------
@@ -239,6 +246,7 @@ class LazyGreedySelector:
     def select(self, strategy: Strategy,
                candidates: Optional[Iterable[Triple]] = None, *,
                allowed_times: Optional[Iterable[int]] = None,
+               users: Optional[Iterable[int]] = None,
                growth_curve: Optional[List[Tuple[int, float]]] = None,
                initial_revenue: Optional[float] = None) -> int:
         """Greedily admit candidates into ``strategy`` (in place).
@@ -254,6 +262,8 @@ class LazyGreedySelector:
             allowed_times: optional whitelist of time steps; candidates at
                 other times are excluded from the frontier (the sub-horizon
                 setting of §6.3).
+            users: optional whitelist of users; candidates of other users
+                are excluded from the frontier.
             growth_curve: optional list receiving cumulative
                 ``(size, revenue)`` checkpoints, appended across calls.
             initial_revenue: revenue of ``strategy`` before this call; when
@@ -268,10 +278,10 @@ class LazyGreedySelector:
                 growth_curve[-1][1] if growth_curve else 0.0
             )
         if candidates is None and self._columnar_eligible():
-            return self._select_columnar(strategy, allowed_times,
+            return self._select_columnar(strategy, allowed_times, users,
                                          growth_curve, initial_revenue)
         heap, flags, group_keys = self._seed(strategy, candidates,
-                                             allowed_times)
+                                             allowed_times, users)
         revenue = initial_revenue
         admitted = 0
 
@@ -340,6 +350,7 @@ class LazyGreedySelector:
 
     def _select_columnar(self, strategy: Strategy,
                          allowed_times: Optional[Iterable[int]],
+                         users: Optional[Iterable[int]],
                          growth_curve: Optional[List[Tuple[int, float]]],
                          revenue: float) -> int:
         """The paper-default loop over the columnar frontier, keyed by row.
@@ -360,7 +371,8 @@ class LazyGreedySelector:
         """
         instance = self._instance
         compiled = instance.compiled()
-        frontier = build_columnar_frontier(compiled, strategy, allowed_times)
+        frontier = build_columnar_frontier(compiled, strategy, allowed_times,
+                                           users)
         pair_user = compiled.pair_user
         pair_item = compiled.pair_item
         flags = [0] * compiled.num_pairs
@@ -448,21 +460,23 @@ class LazyGreedySelector:
             growth_curve.append((len(strategy), revenue))
         if self._trace is not None:
             self._trace.record_admit(triple, gain)
-        if self._on_admit is not None:
-            self._on_admit(triple, gain)
 
     # ------------------------------------------------------------------
     # frontier construction (object path)
     # ------------------------------------------------------------------
     def _seed(self, strategy: Strategy,
               candidates: Optional[Iterable[Triple]],
-              allowed_times: Optional[Iterable[int]]):
+              allowed_times: Optional[Iterable[int]],
+              users: Optional[Iterable[int]]):
         """Build the frontier, freshness flags and (user, item) key index."""
         if candidates is None:
             candidates = self._instance.candidate_triples()
         if allowed_times is not None:
             allowed = set(allowed_times)
             candidates = (z for z in candidates if z.t in allowed)
+        if users is not None:
+            members = set(users)
+            candidates = (z for z in candidates if z.user in members)
         heap = (
             TwoLevelHeap() if self._use_two_level_heap else AddressableMaxHeap()
         )

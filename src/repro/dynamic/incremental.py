@@ -39,9 +39,11 @@ A delta therefore re-solves as:
 * mark the **dirty frontier** -- users owning an updated pair, users with a
   candidate pair on a price-touched item, and new users (only their heap
   rows and (user, class) groups can score differently);
-* re-run the greedy loop *per dirty user* on its own candidate rows (the
-  same :class:`~repro.core.selection.LazyGreedySelector` loop, so every
-  float and tie-break matches the cold run's);
+* re-run the cold loop once over the dirty users' rows (the same
+  :class:`~repro.core.selection.LazyGreedySelector` pass with a ``users``
+  whitelist -- the decomposition makes each user's pops in that joint
+  run exactly its pops in the cold run, every float and tie-break
+  included);
 * merge the fresh dirty sequences with the recorded clean sequences.
 
 Soundness guards
@@ -52,8 +54,9 @@ sequence at a global condition, and a run that hit a capacity block coupled
 users.  Both are recorded on the trace
 (:class:`~repro.core.selection.SelectionTrace`); when a guard fails --
 including the capacity certificate on the *mutated* capacities --
-:meth:`IncrementalSolver.resolve` silently falls back to a full cold replay
-on the patched tensors, which is still correct, just not fast.  The
+:meth:`IncrementalSolver.resolve` falls back to a full cold replay on the
+patched tensors, which is still correct, just not fast, and names the
+reason in ``last_stats["fallback_reason"]``.  The
 differential suites (``tests/test_dynamic.py``,
 ``tests/test_differential.py``) assert bit-identical equality against a
 cold solve either way.
@@ -79,6 +82,7 @@ from repro.core.selection import (
     SEED_ISOLATED,
     LazyGreedySelector,
     SelectionTrace,
+    selection_bound,
 )
 from repro.core.strategy import Strategy
 from repro.dynamic.apply import apply_delta
@@ -242,30 +246,43 @@ class IncrementalSolver:
         return self.strategy
 
     def _run_cold(self, mode: str, **stats) -> None:
-        """The cold reference loop (with tracing), shared with the fallback."""
-        instance = self._instance
-        model = RevenueModel(instance, backend="numpy")
-        trace = SelectionTrace()
-        strategy = Strategy(instance.catalog)
-        selector = LazyGreedySelector(
-            instance, model, ConstraintChecker(instance),
-            seed_priorities=SEED_ISOLATED,
-            max_selections=_selection_bound(instance),
-            trace=trace,
-        )
-        growth_curve: List[Tuple[int, float]] = []
-        selector.select(strategy, None, growth_curve=growth_curve,
-                        initial_revenue=0.0)
-        # A capped exit is replayable *here* because the bound is the
-        # display-theoretic maximum: reaching it means every user's display
-        # slots are full, so the unrecorded suffix of every per-user
-        # sequence is pure display discards and omitting it is harmless.
-        replayable = not (trace.truncated or trace.capacity_blocked)
-        events = {user: _compress_events(sequence)
-                  for user, sequence in trace.events.items()}
+        """The cold reference loop over every user, shared with the fallback."""
+        events, replayable, trace, strategy, growth_curve = self._traced_run()
         self._install(trace.admissions, events, replayable,
                       strategy=strategy, growth_curve=growth_curve)
         self.last_stats = {"mode": mode, "admitted": len(strategy), **stats}
+
+    def _traced_run(self, users: Optional[List[int]] = None):
+        """One traced pass of the cold loop over ``users`` (``None``: all).
+
+        Returns the compressed per-user sequences (one per user of
+        ``users``, or per user that popped anything), whether they replay
+        user by user, and the trace, strategy and growth curve of the pass.
+        """
+        instance = self._instance
+        trace = SelectionTrace()
+        strategy = Strategy(instance.catalog)
+        selector = LazyGreedySelector(
+            instance, RevenueModel(instance, backend="numpy"),
+            ConstraintChecker(instance),
+            seed_priorities=SEED_ISOLATED,
+            max_selections=selection_bound(instance),
+            trace=trace,
+        )
+        growth_curve: List[Tuple[int, float]] = []
+        selector.select(strategy, None, users=users,
+                        growth_curve=growth_curve, initial_revenue=0.0)
+        # A capped exit is replayable because the bound is the
+        # display-theoretic maximum: reaching it means every user's display
+        # slots are full, so the unrecorded suffix of every per-user
+        # sequence is pure display discards and omitting it is harmless.
+        # A pass over a proper subset of the users can never reach it.
+        replayable = not (trace.truncated or trace.capacity_blocked)
+        events = {
+            user: _compress_events(trace.events.get(user, ()))
+            for user in (trace.events if users is None else users)
+        }
+        return events, replayable, trace, strategy, growth_curve
 
     # ------------------------------------------------------------------
     # incremental re-solve
@@ -325,12 +342,15 @@ class IncrementalSolver:
             return self.strategy
 
         dirty = self._dirty_users(touched_pairs, price_cells, new_users)
-        dirty_events, replayable = self._simulate_users(sorted(dirty))
-        if not replayable:
-            self._run_cold(mode="replay",
-                           fallback_reason="dirty re-run not user-replayable",
-                           dirty_users=len(dirty))
-            return self.strategy
+        dirty_events: Dict[int, Tuple[_Event, ...]] = {}
+        if dirty:
+            dirty_events, replayable, *_ = self._traced_run(sorted(dirty))
+            if not replayable:
+                self._run_cold(mode="replay",
+                               fallback_reason="dirty re-run not "
+                                               "user-replayable",
+                               dirty_users=len(dirty))
+                return self.strategy
 
         events = {
             user: sequence for user, sequence in self._events.items()
@@ -404,46 +424,6 @@ class IncrementalSolver:
             rows = compiled.rows_of_item(item)
             dirty.update(compiled.pair_user[rows].tolist())
         return dirty
-
-    def _simulate_users(self, users: List[int]
-                        ) -> Tuple[Dict[int, Tuple[_Event, ...]], bool]:
-        """Re-run the greedy loop per dirty user on its own candidate rows.
-
-        Each user's run is the serial selection loop restricted to the
-        user's triples: same seeding rule, same two-level heap tie-breaking
-        (candidates are fed in CSR order, the order the columnar frontier
-        stores), same lazy-forward freshness -- so each recorded sequence
-        is exactly the user's slice of a cold run on the mutated instance.
-        Returns the sequences and whether every run stayed replayable
-        (drained its frontier without a break or capacity block).
-        """
-        instance = self._instance
-        model = RevenueModel(instance, backend="numpy")
-        checker = ConstraintChecker(instance)
-        compiled = instance.compiled()
-        events: Dict[int, Tuple[_Event, ...]] = {}
-        replayable = True
-        for user in users:
-            start = int(compiled.user_ptr[user])
-            stop = int(compiled.user_ptr[user + 1])
-            candidates: List[Triple] = []
-            for row in range(start, stop):
-                item = int(compiled.pair_item[row])
-                for t in np.flatnonzero(
-                    compiled.pair_probs[row] > 0.0
-                ).tolist():
-                    candidates.append(Triple(user, item, t))
-            trace = SelectionTrace()
-            selector = LazyGreedySelector(
-                instance, model, checker,
-                seed_priorities=SEED_ISOLATED,
-                trace=trace,
-            )
-            scratch = Strategy(instance.catalog)
-            selector.select(scratch, candidates)
-            replayable = replayable and trace.complete()
-            events[user] = _compress_events(trace.events.get(user, ()))
-        return events, replayable
 
     def _merge(self, events: Dict[int, Tuple[_Event, ...]]
                ) -> List[_Admit]:
@@ -535,9 +515,10 @@ class IncrementalSolver:
         lock step.
 
         Raises:
-            ValueError: when the state was computed on different tensors.
+            ValueError: when the state was computed on different tensors
+                (or carries no signature).
         """
-        if state.signature and state.signature != instance_signature(instance):
+        if state.signature != instance_signature(instance):
             raise ValueError(
                 f"solver state (computed on {state.instance_name!r}) does "
                 f"not match this instance's tensors; re-solve cold or load "
@@ -621,18 +602,3 @@ def _gc_paused():
     finally:
         if enabled:
             gc.enable()
-
-
-def _selection_bound(instance: RevMaxInstance) -> int:
-    """The display-theoretic admission bound ``k * T * |users|``.
-
-    Matches
-    :meth:`repro.algorithms.global_greedy.GlobalGreedy._max_selections` so
-    the cold run here is bit-identical to ``GlobalGreedy``'s.  The display
-    constraint caps admissions at this bound anyway, so it can never stop a
-    run early -- which is what makes the per-user merge (which has no
-    global cap) exact.
-    """
-    return instance.display_limit * instance.horizon * max(
-        1, len(instance.users())
-    )

@@ -65,7 +65,7 @@ class ColumnarFrontier:
         # Row-wise best over the seeded mask; -inf marks rows with no live
         # entry ("dead").  Upper entries carry the priority they were pushed
         # with; an entry is stale when it no longer matches _best[row].
-        best = np.where(seeded, priorities, _DEAD).max(axis=1, initial=_DEAD)
+        best = priorities.max(axis=1, where=seeded, initial=_DEAD)
         live_rows = np.flatnonzero(best > _DEAD)
         self._best: List[float] = best.tolist()
         self._live = int(live_rows.shape[0])

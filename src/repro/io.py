@@ -379,8 +379,18 @@ def solver_state_from_dict(document: Dict) -> SolverState:
     The one conversion of loaded values: JSON arrays become the tuples
     :class:`~repro.dynamic.incremental.SolverState` holds and user keys
     become ints.  Reads indented files from older writers as well.
+
+    Raises:
+        ValueError: when the document carries no instance signature (a
+            state that cannot be checked against its tensors would merge
+            against any instance).
     """
     _check_document(document, "revmax-solver-state")
+    if not document.get("signature"):
+        raise ValueError(
+            "solver state carries no instance signature; re-prime it with "
+            "repro resolve --load plan.npz --save-state state.json"
+        )
     return SolverState(
         admits=list(map(tuple, document["admits"])),
         events={
@@ -389,7 +399,7 @@ def solver_state_from_dict(document: Dict) -> SolverState:
         },
         complete=bool(document.get("complete", False)),
         instance_name=document.get("instance_name", "revmax-instance"),
-        signature=document.get("signature", ""),
+        signature=document["signature"],
     )
 
 

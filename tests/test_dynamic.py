@@ -16,12 +16,15 @@ Three layers, mirroring the module structure:
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from repro.algorithms.global_greedy import GlobalGreedy
+from repro.core.selection import LazyGreedySelector
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_columnar
 from repro.dynamic import (
     IncrementalSolver,
     InstanceDelta,
@@ -423,6 +426,26 @@ class TestIncrementalSolver:
             IncrementalSolver.from_state(stale_twin,
                                          repro_io.load_solver_state(path))
 
+    @pytest.mark.parametrize("signature", [None, ""])
+    def test_unsigned_state_rejected(self, tmp_path, signature):
+        """A state without a digest cannot be checked, so it never loads."""
+        instance = build_random_instance(seed=6, **MERGE_FRIENDLY)
+        solver = IncrementalSolver(instance)
+        solver.solve()
+        document = repro_io.solver_state_to_dict(solver.state())
+        if signature is None:
+            del document["signature"]
+        else:
+            document["signature"] = signature
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ValueError, match="no instance signature"):
+            repro_io.load_solver_state(path)
+        unsigned = solver.state()
+        unsigned.signature = ""
+        with pytest.raises(ValueError, match="does not match"):
+            IncrementalSolver.from_state(instance, unsigned)
+
     def test_external_mutation_invalidates_warm_state(self):
         """Deltas applied around the solver force a cold re-solve."""
         seed = 3
@@ -440,6 +463,101 @@ class TestIncrementalSolver:
         reference, curve = cold_reference(mutated)
         assert sorted(strategy.triples()) == reference
         assert solver.growth_curve == curve
+
+
+# ----------------------------------------------------------------------
+# the dirty re-run: one joint pass of the cold loop
+# ----------------------------------------------------------------------
+class TestDirtyPass:
+    def test_joint_pass_decomposes_per_user(self):
+        """One pass over a user set equals one ``users=[u]`` pass per user.
+
+        On capacity-safe instances every score, freshness flag and display
+        slot is per user, so a joint pass pops each user's candidates in
+        that user's solo order and the replayability verdicts agree.  A
+        replayable pass yields exactly the solo sequences; an unreplayable
+        one (a non-positive break, which the solver answers with a cold
+        replay) stops every user's sequence at a prefix of its solo run.
+        """
+        verdicts = []
+        grid = itertools.product([0.1, 0.5, 0.9], [1, 2], [3, 4], [1.0, 3.0],
+                                 range(8))
+        for beta, display_limit, horizon, capacity_fraction, seed in grid:
+            case = (beta, display_limit, horizon, capacity_fraction, seed)
+            instance = generate_synthetic_columnar(SyntheticConfig(
+                num_users=12, num_items=8, num_classes=3,
+                candidates_per_user=4, horizon=horizon,
+                display_limit=display_limit,
+                capacity_fraction=capacity_fraction, beta=beta, seed=seed,
+            ))
+            solver = IncrementalSolver(instance)
+            assert solver._capacity_safe(), case
+            rng = np.random.default_rng(seed)
+            users = sorted(rng.choice(12, size=6, replace=False).tolist())
+            events, replayable, trace, *_ = solver._traced_run(users)
+            assert sorted(events) == users, case
+            solo_verdicts = []
+            for user in users:
+                solo, verdict, solo_trace, *_ = solver._traced_run([user])
+                solo_verdicts.append(verdict)
+                joint_pops = trace.events.get(user, [])
+                solo_pops = solo_trace.events.get(user, [])
+                if replayable:
+                    assert events[user] == solo[user], case
+                    assert joint_pops == solo_pops, case
+                else:
+                    assert joint_pops == solo_pops[:len(joint_pops)], case
+            assert replayable == all(solo_verdicts), case
+            verdicts.append(replayable)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_merge_runs_one_columnar_pass(self, monkeypatch):
+        """A merge re-runs all dirty users in a single columnar pass."""
+        instance = build_random_instance(seed=1, **MERGE_FRIENDLY)
+        solver = IncrementalSolver(instance)
+        solver.solve()
+        calls = {"columnar": 0, "object": 0}
+        columnar = LazyGreedySelector._select_columnar
+
+        def counting_columnar(selector, *args, **kwargs):
+            calls["columnar"] += 1
+            return columnar(selector, *args, **kwargs)
+
+        def forbidden_seed(selector, *args, **kwargs):
+            calls["object"] += 1
+            raise AssertionError("the object loop ran during a merge")
+
+        monkeypatch.setattr(LazyGreedySelector, "_select_columnar",
+                            counting_columnar)
+        monkeypatch.setattr(LazyGreedySelector, "_seed", forbidden_seed)
+        pairs = sorted(instance.adoption.pairs())
+        owners = {}
+        for user, item in pairs:
+            owners.setdefault(user, (user, item))
+        picked = list(owners.values())[:3]
+        delta = InstanceDelta(probability_updates={
+            pair: [0.9, 0.8, 0.7] for pair in picked
+        })
+        strategy = solver.resolve(copy_delta(delta))
+        assert solver.last_stats["mode"] == "merge"
+        assert solver.last_stats["dirty_users"] == 3
+        assert calls == {"columnar": 1, "object": 0}
+
+        monkeypatch.undo()
+        mutated = build_random_instance(seed=1, **MERGE_FRIENDLY)
+        apply_delta(mutated, copy_delta(delta))
+        reference, curve = cold_reference(mutated)
+        assert sorted(strategy.triples()) == reference
+        assert solver.growth_curve == curve
+
+    def test_clean_merge_runs_no_pass(self, monkeypatch):
+        instance = build_random_instance(seed=1, **MERGE_FRIENDLY)
+        solver = IncrementalSolver(instance)
+        solver.solve()
+        monkeypatch.setattr(LazyGreedySelector, "select", None)
+        solver.resolve()
+        assert solver.last_stats["mode"] == "merge"
+        assert solver.last_stats["dirty_users"] == 0
 
 
 # ----------------------------------------------------------------------

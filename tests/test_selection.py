@@ -236,21 +236,21 @@ class TestLazyGreedySelector:
         assert admitted == 3
         assert len(strategy) == 3
 
-    def test_on_admit_hook_sees_every_admission(self, small_instance):
+    def test_trace_sees_every_admission(self, small_instance):
         model = RevenueModel(small_instance)
         strategy = Strategy(small_instance.catalog)
-        admissions = []
+        trace = SelectionTrace()
         selector = LazyGreedySelector(
             small_instance, model, ConstraintChecker(small_instance),
-            seed_priorities=SEED_ISOLATED,
-            on_admit=lambda triple, gain: admissions.append((triple, gain)),
+            seed_priorities=SEED_ISOLATED, trace=trace,
         )
         growth_curve = []
         selector.select(strategy, small_instance.candidate_triples(),
                         growth_curve=growth_curve)
-        assert len(admissions) == len(strategy)
-        assert all(gain > 0.0 for _, gain in admissions)
-        assert [round(g, 12) for _, g in admissions] == [
+        gains = [gain for _, _, _, gain in trace.admissions]
+        assert len(gains) == len(strategy)
+        assert all(gain > 0.0 for gain in gains)
+        assert [round(g, 12) for g in gains] == [
             round(b - a, 12) for (_, a), (_, b) in
             zip([(0, 0.0)] + growth_curve[:-1], growth_curve)
         ]
@@ -293,8 +293,8 @@ class TestLazyGreedySelector:
 
 
 
-def _traced_run(instance, *, columnar, allowed_times=None, initial=(),
-                ignore_saturation=False, max_selections=None):
+def _traced_run(instance, *, columnar, allowed_times=None, users=None,
+                initial=(), ignore_saturation=False, max_selections=None):
     """One isolated-seeded lazy G-Greedy selection with a trace.
 
     ``columnar=True`` runs the row-keyed columnar loop on ``instance``;
@@ -319,7 +319,7 @@ def _traced_run(instance, *, columnar, allowed_times=None, initial=(),
     strategy = Strategy(source.catalog, initial)
     curve = []
     selector.select(strategy, None, allowed_times=allowed_times,
-                    growth_curve=curve)
+                    users=users, growth_curve=curve)
     return {
         "triples": sorted(strategy.triples()),
         "admissions": trace.admissions,
@@ -378,6 +378,28 @@ class TestColumnarLoopDifferential:
     def test_allowed_times_subsets(self, allowed):
         run = self._assert_agree(_synthetic(4), allowed_times=allowed)
         assert {t for _, _, t, _ in run["admissions"]} <= allowed
+
+    @pytest.mark.parametrize("users,allowed", [
+        ({0, 5, 17, 40, 79}, None),
+        (set(range(0, 80, 3)), {0, 2, 3}),
+        ({1, 2, 3, 200}, {1}),
+        (set(range(40)), {3, 7}),
+    ])
+    def test_user_subsets(self, users, allowed):
+        # The incremental re-solver's dirty pass: a users whitelist,
+        # combined here with time whitelists (out-of-range values match
+        # nothing on either loop).
+        run = self._assert_agree(_synthetic(4), users=users,
+                                 allowed_times=allowed)
+        assert {user for user, _, _, _ in run["admissions"]} <= users
+        assert set(run["events"]) <= users
+        if allowed is not None:
+            assert {t for _, _, t, _ in run["admissions"]} <= allowed
+
+    def test_empty_user_subset_admits_nothing(self):
+        for columnar in (True, False):
+            run = _traced_run(_synthetic(4), columnar=columnar, users=[])
+            assert run["admissions"] == [] and run["events"] == {}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_non_empty_initial_strategy(self, seed):
