@@ -31,7 +31,12 @@ class Strategy:
     Args:
         catalog: the item catalog providing the class function ``C(i)``; the
             strategy groups its triples by (user, class).
-        triples: optional initial triples.
+        triples: optional initial triples (``Triple`` or plain
+            ``(user, item, t)`` tuples), indexed in one pass exactly as
+            :meth:`add` would index them one by one.
+
+    Raises:
+        ValueError: if ``triples`` repeats a triple, as :meth:`add` does.
     """
 
     def __init__(self, catalog: ItemCatalog,
@@ -42,8 +47,48 @@ class Strategy:
         self._display_count: Dict[Tuple[int, int], int] = {}
         self._item_users: Dict[int, Set[int]] = {}
         if triples is not None:
+            self._fill(triples)
+
+    def _fill(self, triples: Iterable[Triple]) -> None:
+        """Index ``triples`` into the empty strategy as repeated :meth:`add`
+        calls would, in one pass.
+
+        The member set is built by one C-level ``set`` call and the
+        columns by one ``zip``; the indexes take three short Python loops
+        that make no method call on the strategy per triple.  Groups appear
+        in first-seen order with their triples in input order, so
+        :meth:`groups` iterates exactly as after per-triple adds.
+        """
+        triples = [triple if type(triple) is Triple else Triple(*triple)
+                   for triple in triples]
+        if not triples:
+            return
+        self._triples = set(triples)
+        if len(self._triples) != len(triples):
+            seen: Set[Triple] = set()
             for triple in triples:
-                self.add(triple)
+                if triple in seen:
+                    raise ValueError(f"triple already in strategy: {triple}")
+                seen.add(triple)
+        users, items, times = zip(*triples)
+        groups = self._by_user_class
+        keys = zip(users, map(self._catalog.class_of, items))
+        for key, triple in zip(keys, triples):
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [triple]
+            else:
+                group.append(triple)
+        display = self._display_count
+        for slot in zip(users, times):
+            display[slot] = display.get(slot, 0) + 1
+        audiences = self._item_users
+        for item, user in zip(items, users):
+            audience = audiences.get(item)
+            if audience is None:
+                audiences[item] = {user}
+            else:
+                audience.add(user)
 
     # ------------------------------------------------------------------
     # set protocol

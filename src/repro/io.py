@@ -43,9 +43,11 @@ import json
 import os
 import uuid
 import zipfile
+from collections import Counter
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Dict, Iterator, Optional, Union
+from typing import IO, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from repro.core.compiled import CompiledInstance
 from repro.core.entities import ItemCatalog, Triple
 from repro.core.problem import AdoptionTable, RevMaxInstance
 from repro.core.strategy import Strategy
-from repro.dynamic.incremental import SolverState
+from repro.dynamic.incremental import SolverState, _gc_paused
 
 __all__ = [
     "FORMAT_VERSION",
@@ -348,12 +350,14 @@ def solver_state_to_dict(state: SolverState) -> Dict:
     """Encode an incremental solver's warm state as a JSON document.
 
     The document holds the admission sequence in global admission order
-    (``[user, item, t, gain]`` rows) plus the per-user pop sequences the
-    next re-solve merges (``[priority, item, t, admitted]`` rows,
-    ``admitted`` 0 or 1) -- exactly what
+    (``admits``: ``[user, item, t, gain]`` rows) and, per user, the gates
+    the next re-solve merges besides the admissions (``gates``:
+    ``[position, priority, item, t]`` rows) -- exactly what
     :meth:`repro.dynamic.incremental.IncrementalSolver.state` exports.
-    Persisted alongside the instance's ``.npz``, it lets a later process
-    warm-start an incremental re-solve without re-running the cold solve.
+    Each admission is stored once: a user's pop sequence is its admissions
+    with its gates slotted in at their positions.  Persisted alongside the
+    instance's ``.npz``, it lets a later process warm-start an incremental
+    re-solve without re-running the cold solve.
 
     The state's rows already have the document's shape, so they pass to
     the encoder untouched; only the user keys become strings.  The file is
@@ -368,8 +372,7 @@ def solver_state_to_dict(state: SolverState) -> Dict:
         "signature": state.signature,
         "complete": bool(state.complete),
         "admits": state.admits,
-        "events": {str(user): sequence
-                   for user, sequence in state.events.items()},
+        "gates": {str(user): rows for user, rows in state.gates.items()},
     }
 
 
@@ -378,12 +381,16 @@ def solver_state_from_dict(document: Dict) -> SolverState:
 
     The one conversion of loaded values: JSON arrays become the tuples
     :class:`~repro.dynamic.incremental.SolverState` holds and user keys
-    become ints.  Reads indented files from older writers as well.
+    become ints.  Reads indented files from older writers as well, and the
+    older layout that stored every user's whole pop sequence (admissions
+    included) under ``events`` instead of ``gates``.
 
     Raises:
         ValueError: when the document carries no instance signature (a
             state that cannot be checked against its tensors would merge
-            against any instance).
+            against any instance), when a user's gate positions do not fit
+            its admissions, or when an ``events`` document's admissions
+            disagree with its ``admits``.
     """
     _check_document(document, "revmax-solver-state")
     if not document.get("signature"):
@@ -391,16 +398,77 @@ def solver_state_from_dict(document: Dict) -> SolverState:
             "solver state carries no instance signature; re-prime it with "
             "repro resolve --load plan.npz --save-state state.json"
         )
+    admits = list(map(tuple, document["admits"]))
+    if "gates" in document:
+        gates = {int(user): tuple(map(tuple, rows))
+                 for user, rows in document["gates"].items()}
+        _check_gate_positions(admits, gates)
+    else:
+        gates = _gates_from_events(admits, document.get("events", {}))
     return SolverState(
-        admits=list(map(tuple, document["admits"])),
-        events={
-            int(user): tuple(map(tuple, sequence))
-            for user, sequence in document.get("events", {}).items()
-        },
+        admits=admits,
+        gates=gates,
         complete=bool(document.get("complete", False)),
         instance_name=document.get("instance_name", "revmax-instance"),
         signature=document["signature"],
     )
+
+
+def _check_gate_positions(admits: List[tuple],
+                          gates: Dict[int, tuple]) -> None:
+    """Each user's gate positions must slot into its pop sequence.
+
+    The sequence holds the user's admissions and gates, so positions are
+    strictly increasing, non-negative and below their sum.
+    """
+    if not gates:
+        return
+    counts = Counter(map(itemgetter(0), admits))
+    for user, rows in gates.items():
+        positions = [row[0] for row in rows]
+        length = counts[user] + len(rows)
+        if positions and not (
+                0 <= positions[0] and positions[-1] < length
+                and all(a < b for a, b in zip(positions, positions[1:]))):
+            raise ValueError(
+                f"gate positions of user {user} do not fit its pop sequence "
+                f"of {length} events"
+            )
+
+
+def _gates_from_events(admits: List[tuple], events: Dict) -> Dict:
+    """The gates of the older ``events`` layout, checked against ``admits``.
+
+    That layout stored each user's compressed pop sequence as
+    ``[priority, item, t, admitted]`` rows.  Its admitted rows must be the
+    user's ``admits`` rows in order (an admission pops at its gain); the
+    gates keep their positions.
+    """
+    expected: Dict[int, list] = {}
+    for user, item, t, gain in admits:
+        expected.setdefault(user, []).append((item, t, gain))
+    gates = {}
+    for key, sequence in events.items():
+        user = int(key)
+        popped, kept = [], []
+        for position, (priority, item, t, admitted) in enumerate(sequence):
+            if admitted:
+                popped.append((item, t, priority))
+            else:
+                kept.append((position, priority, item, t))
+        if popped != expected.pop(user, []):
+            raise ValueError(
+                f"the admissions of user {user} in 'events' disagree with "
+                f"'admits'"
+            )
+        if kept:
+            gates[user] = tuple(kept)
+    if expected:
+        raise ValueError(
+            f"the admissions of user {min(expected)} in 'admits' are "
+            f"missing from 'events'"
+        )
+    return gates
 
 
 def save_solver_state(state: SolverState, path: _PathLike) -> None:
@@ -409,8 +477,20 @@ def save_solver_state(state: SolverState, path: _PathLike) -> None:
 
 
 def load_solver_state(path: _PathLike) -> SolverState:
-    """Read an incremental solver's warm state from a JSON file."""
-    return solver_state_from_dict(_read_json(path))
+    """Read an incremental solver's warm state from a JSON file.
+
+    The file is decoded with the cyclic collector paused: decoding
+    allocates one list or tuple per row and no reference cycles.
+
+    Raises:
+        ValueError: naming ``path`` when the file is not a valid state
+            document (see :func:`solver_state_from_dict`).
+    """
+    with _gc_paused():
+        try:
+            return solver_state_from_dict(_read_json(path))
+        except ValueError as error:
+            raise ValueError(f"{path}: {error}") from error
 
 
 # ----------------------------------------------------------------------

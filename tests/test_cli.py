@@ -338,6 +338,38 @@ class TestResolveCommand:
         assert captured.err.count("\n") == 1
         assert "no instance signature" in captured.err
 
+    def test_older_state_disagreeing_with_admits_rejected(self, tmp_path,
+                                                           capsys):
+        """An ``events`` state whose admissions contradict ``admits``."""
+        from tests.conftest import build_random_instance
+
+        instance = build_random_instance(
+            num_users=8, num_items=6, num_classes=3, horizon=3,
+            display_limit=2, capacity=8, beta=0.95, density=1.0, seed=0,
+        )
+        instance_path = tmp_path / "plan.npz"
+        state_path = tmp_path / "state.json"
+        repro_io.save_instance_npz(instance, instance_path)
+        assert main(["resolve", "--load", str(instance_path),
+                     "--save-state", str(state_path)]) == 0
+        document = json.loads(state_path.read_text(encoding="utf-8"))
+        assert document.pop("gates") == {}
+        events = {}
+        for user, item, t, gain in document["admits"]:
+            events.setdefault(str(user), []).append([gain, item, t, 1])
+        events["0"][0][0] += 1.0
+        document["events"] = events
+        state_path.write_text(json.dumps(document, indent=2),
+                              encoding="utf-8")
+        capsys.readouterr()
+        assert main(["resolve", "--load", str(instance_path),
+                     "--state", str(state_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(state_path) in captured.err
+        assert "disagree with 'admits'" in captured.err
+
     def test_resolve_save_instance_persists_the_mutation(self, tmp_path,
                                                          capsys):
         instance_path = tmp_path / "plan.npz"

@@ -16,13 +16,17 @@ Three layers, mirroring the module structure:
 from __future__ import annotations
 
 import gc
+import heapq
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.global_greedy import GlobalGreedy
+from repro.core.problem import RevMaxInstance
 from repro.core.selection import LazyGreedySelector
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_columnar
 from repro.dynamic import (
@@ -93,6 +97,47 @@ def cold_reference(instance):
     algorithm = GlobalGreedy(backend="numpy")
     strategy = algorithm.build_strategy(instance)
     return sorted(strategy.triples()), algorithm.last_growth_curve
+
+
+def build_tied_instance(seed: int) -> RevMaxInstance:
+    """8 users x 6 items whose prices and probabilities take two values each.
+
+    The ties make equal-valued pops common, so a solve keeps many gates
+    (a gate is kept when a later event of its user is not smaller); the
+    MERGE_FRIENDLY instances keep none.  Capacity is the user count, so
+    every re-solve is capacity-safe.
+    """
+    rng = np.random.default_rng(seed)
+    prices = rng.choice([10.0, 20.0], size=(6, 3))
+    adoption = {(user, item): rng.choice([0.3, 0.6], size=3).tolist()
+                for user in range(8) for item in range(6)}
+    return RevMaxInstance.from_dense_adoption(
+        prices=prices, adoption=adoption,
+        item_class=[item % 3 for item in range(6)], capacities=8,
+        betas=0.95, display_limit=2, num_users=8, name=f"tied-{seed}",
+    )
+
+
+def _tied_delta() -> InstanceDelta:
+    """Dirties user 0 only, so a tied instance re-solves by merge."""
+    return InstanceDelta(probability_updates={(0, 0): [0.6, 0.3, 0.6]})
+
+
+def _gated_instance(seed: int, *, resolved: bool = False) -> RevMaxInstance:
+    instance = build_tied_instance(seed)
+    if resolved:
+        apply_delta(instance, _tied_delta())
+    return instance
+
+
+def _gated_solver(seed: int, *, resolved: bool = False) -> IncrementalSolver:
+    """A solved tied instance, optionally re-solved once by merge."""
+    solver = IncrementalSolver(build_tied_instance(seed))
+    solver.solve()
+    if resolved:
+        solver.resolve(_tied_delta())
+        assert solver.last_stats["mode"] == "merge"
+    return solver
 
 
 # ----------------------------------------------------------------------
@@ -596,7 +641,8 @@ class TestWarmState:
         assert twin.growth_curve == solver.growth_curve
 
     def test_saved_file_is_canonical_compact_json(self, tmp_path):
-        solver = self._solved(resolved=True)
+        # The MERGE_FRIENDLY instances keep no gates; a tied one does.
+        solver = _gated_solver(seed=0, resolved=True)
         state = solver.state()
         path = tmp_path / "state.json"
         repro_io.save_solver_state(state, path)
@@ -604,16 +650,17 @@ class TestWarmState:
         document = json.loads(text)
         assert text == json.dumps(document, sort_keys=True,
                                   separators=(",", ":"))
-        flags = [row[3] for rows in document["events"].values()
-                 for row in rows]
-        assert flags and {type(flag) for flag in flags} == {int}
-        assert set(flags) <= {0, 1}
+        positions = [row[0] for rows in document["gates"].values()
+                     for row in rows]
+        assert positions and {type(position) for position in positions} == {
+            int}
+        assert min(positions) >= 0
         loaded = repro_io.load_solver_state(path)
         assert [row[3].hex() for row in loaded.admits] == [
             float(row[3]).hex() for row in state.admits
         ]
         assert loaded.admits == state.admits
-        assert loaded.events == state.events
+        assert loaded.gates == state.gates
 
     def test_lazy_views_after_from_state_match_cold(self):
         solver = self._solved()
@@ -657,22 +704,227 @@ class TestWarmState:
         assert twin.growth_curve == curve
 
     def test_states_are_detached_from_the_solver(self):
-        solver = self._solved(resolved=True)
+        solver = _gated_solver(seed=0, resolved=True)
         before = repro_io.solver_state_to_dict(solver.state())
         exported = solver.state()
-        assert all(isinstance(sequence, tuple)
-                   for sequence in exported.events.values())
+        assert exported.gates and all(isinstance(rows, tuple)
+                                      for rows in exported.gates.values())
         exported.admits.clear()
-        exported.events.clear()
+        exported.gates.clear()
         exported.complete = False
         assert repro_io.solver_state_to_dict(solver.state()) == before
 
         imported = solver.state()
-        twin = self._twin(imported, resolved=True)
+        twin = IncrementalSolver.from_state(
+            _gated_instance(seed=0, resolved=True), imported)
         imported.admits.reverse()
-        imported.events.clear()
+        imported.gates.clear()
         assert repro_io.solver_state_to_dict(twin.state()) == before
         assert twin.strategy.triples() == solver.strategy.triples()
+
+
+# ----------------------------------------------------------------------
+# the merge: one stable sort that equals a heap merge
+# ----------------------------------------------------------------------
+def heap_merge(sequences, blocks=None):
+    """Reference k-way merge of per-user pop sequences.
+
+    ``sequences[user]`` lists ``(priority, item, t, admitted)`` events, and
+    an event's tie-break row is ``3 * blocks[user] + item`` (rows belong
+    to one user, as CSR rows do; ``blocks`` defaults to the identity).
+    The heap serves heads by ``(-priority, row)``, like the cold columnar
+    frontier.  Returns the admissions as ``(user, item, t, priority)`` rows
+    in pop order.
+    """
+    blocks = blocks or range(len(sequences))
+    heap = [(-sequence[0][0], 3 * blocks[user] + sequence[0][1], user, 0)
+            for user, sequence in enumerate(sequences) if sequence]
+    heapq.heapify(heap)
+    admits = []
+    while heap:
+        _, _, user, position = heapq.heappop(heap)
+        priority, item, t, admitted = sequences[user][position]
+        if admitted:
+            admits.append((user, item, t, priority))
+        position += 1
+        if position < len(sequences[user]):
+            priority, item = sequences[user][position][:2]
+            heapq.heappush(heap, (-priority, 3 * blocks[user] + item, user,
+                                  position))
+    return admits
+
+
+class _UserLocalRows:
+    """A stand-in compilation: the row of (user, item) is
+    ``3 * blocks[user] + item``."""
+
+    def __init__(self, blocks):
+        self.num_users = len(blocks)
+        self._blocks = np.asarray(blocks, dtype=np.int64)
+
+    def pair_rows(self, users, items):
+        return 3 * self._blocks[users] + items
+
+
+def sort_merge(sequences, blocks=None):
+    """``IncrementalSolver._merge`` on the same sequences.
+
+    The admissions go in user-major order, last user first: the merge may
+    not rely on how users interleave in its input.  Every gate is passed.
+    """
+    admits = [(user, item, t, priority)
+              for user in reversed(range(len(sequences)))
+              for priority, item, t, admitted in sequences[user] if admitted]
+    gates = {
+        user: tuple((position, priority, item, t)
+                    for position, (priority, item, t, admitted)
+                    in enumerate(sequence) if not admitted)
+        for user, sequence in enumerate(sequences)
+    }
+    rows = _UserLocalRows(blocks or range(len(sequences)))
+    solver = SimpleNamespace(_instance=SimpleNamespace(compiled=lambda: rows))
+    return IncrementalSolver._merge(solver, admits, gates)
+
+
+#: Few distinct values, so priorities tie within and across users; zero,
+#: negative zero and negative priorities included.
+_PRIORITIES = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0])
+
+
+@st.composite
+def user_sequences(draw):
+    """1-6 users with 0-8 events each, and the users' row blocks.
+
+    Three items a user, so rows repeat within a sequence.  The blocks are
+    shuffled: cross-user ties must break by row, not by user id.
+    """
+    sequences = [
+        draw(st.lists(st.tuples(_PRIORITIES, st.integers(0, 2),
+                                st.integers(0, 2), st.sampled_from([0, 1])),
+                      max_size=8))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return sequences, draw(st.permutations(range(len(sequences))))
+
+
+class TestSortMerge:
+    @settings(max_examples=500, deadline=None)
+    @given(user_sequences())
+    def test_equals_heap_merge(self, case):
+        sequences, blocks = case
+        assert sort_merge(sequences, blocks) == heap_merge(sequences, blocks)
+
+    def test_upward_event_waits_behind_its_lower_gate(self):
+        # User 0's gate at 1.0 hides its admission at 5.0, so user 1's 2.0
+        # pops first even though 5.0 is the largest priority.
+        sequences = [[(1.0, 0, 0, 0), (5.0, 1, 0, 1)], [(2.0, 0, 1, 1)]]
+        assert heap_merge(sequences) == [(1, 0, 1, 2.0), (0, 1, 0, 5.0)]
+        assert sort_merge(sequences) == heap_merge(sequences)
+
+    def test_empty_sequences_and_a_single_user(self):
+        assert sort_merge([[]]) == [] == sort_merge([[], [], []])
+        single = [[(1.0, 0, 0, 1), (1.0, 0, 1, 0), (3.0, 1, 0, 1),
+                   (-1.0, 2, 2, 1)]]
+        assert sort_merge(single) == heap_merge(single) == [
+            (0, 0, 0, 1.0), (0, 1, 0, 3.0), (0, 2, 2, -1.0)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gated_resolve_bit_identical_to_cold(self, seed):
+        """Tied instances keep many gates; the merge still equals cold."""
+        instance = build_tied_instance(seed)
+        solver = IncrementalSolver(instance)
+        solver.solve()
+        assert solver.state().gates
+        delta = random_delta(instance, seed=seed, with_new_users=False)
+        delta.capacity_updates.clear()
+        strategy = solver.resolve(copy_delta(delta))
+        assert solver.last_stats["mode"] in ("merge", "replay")
+
+        mutated = build_tied_instance(seed)
+        apply_delta(mutated, copy_delta(delta))
+        reference, curve = cold_reference(mutated)
+        assert sorted(strategy.triples()) == reference
+        assert solver.growth_curve == curve
+
+
+# ----------------------------------------------------------------------
+# the older state layout: whole pop sequences under "events"
+# ----------------------------------------------------------------------
+def events_layout(document):
+    """Rewrite a state document in the older layout.
+
+    That layout stored every user's compressed pop sequence, admissions
+    included, as ``[priority, item, t, admitted]`` rows under ``events``.
+    """
+    admits = {}
+    for user, item, t, gain in document["admits"]:
+        admits.setdefault(user, []).append([gain, item, t, 1])
+    gates = {int(user): rows for user, rows in document.pop("gates").items()}
+    events = {}
+    for user in sorted(set(admits) | set(gates)):
+        sequence = list(admits.get(user, []))
+        for position, priority, item, t in gates.get(user, ()):
+            sequence.insert(position, [priority, item, t, 0])
+        events[str(user)] = sequence
+    document["events"] = events
+    return document
+
+
+class TestOlderStateLayout:
+    def _write(self, path, document):
+        with path.open("w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+
+    def test_events_file_warm_starts_and_resolves_bit_identically(
+            self, tmp_path):
+        solver = _gated_solver(seed=3)
+        state = solver.state()
+        path = tmp_path / "state.json"
+        self._write(path, events_layout(repro_io.solver_state_to_dict(state)))
+        loaded = repro_io.load_solver_state(path)
+        assert loaded.admits == state.admits
+        assert loaded.gates == state.gates
+
+        twin = IncrementalSolver.from_state(build_tied_instance(3), loaded)
+        solver.resolve(_tied_delta())
+        twin.resolve(_tied_delta())
+        assert twin.last_stats == solver.last_stats
+        assert twin.last_stats["mode"] == "merge"
+        assert twin.state().admits == solver.state().admits
+        assert twin.growth_curve == solver.growth_curve
+        reference, curve = cold_reference(_gated_instance(3, resolved=True))
+        assert sorted(twin.strategy.triples()) == reference
+        assert twin.growth_curve == curve
+
+    @pytest.mark.parametrize("damage", ["gain", "dropped", "extra"])
+    def test_events_disagreeing_with_admits_raise_naming_the_file(
+            self, tmp_path, damage):
+        document = events_layout(repro_io.solver_state_to_dict(
+            _gated_solver(seed=3).state()))
+        sequence = next(iter(document["events"].values()))
+        position = next(index for index, row in enumerate(sequence)
+                        if row[3])
+        if damage == "gain":
+            sequence[position][0] += 1.0
+        elif damage == "dropped":
+            del sequence[position]
+        else:
+            document["events"]["999"] = [[1.0, 0, 0, 1]]
+        path = tmp_path / "old-state.json"
+        self._write(path, document)
+        with pytest.raises(ValueError, match="old-state.json") as error:
+            repro_io.load_solver_state(path)
+        assert "admits" in str(error.value)
+
+    def test_misplaced_gate_positions_raise(self, tmp_path):
+        document = json.loads(json.dumps(repro_io.solver_state_to_dict(
+            _gated_solver(seed=3).state())))
+        rows = next(iter(document["gates"].values()))
+        rows[-1][0] = 10 ** 6
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ValueError, match="gate positions"):
+            repro_io.load_solver_state(path)
 
 
 # ----------------------------------------------------------------------

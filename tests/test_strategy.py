@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import timeit
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -153,3 +155,96 @@ class TestStrategyProperties:
         assert strategy.repeat_counts() == {}
         for item in range(3):
             assert strategy.item_audience_size(item) == 0
+
+
+def _added_one_by_one(catalog, triples):
+    strategy = Strategy(catalog)
+    for triple in triples:
+        strategy.add(triple)
+    return strategy
+
+
+def _indexes(strategy):
+    """Every index a strategy keeps, in its iteration order."""
+    return (list(strategy.groups()), list(strategy._display_count.items()),
+            strategy._item_users, strategy.sorted_triples(),
+            strategy.triples())
+
+
+_RAW_TRIPLES = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 3)),
+    max_size=40, unique=True,
+)
+
+
+class TestBulkFill:
+    """``Strategy(catalog, triples)`` indexes exactly as repeated ``add``."""
+
+    @pytest.fixture
+    def wide_catalog(self):
+        return ItemCatalog(item_class=[0, 1, 0, 2])
+
+    @given(_RAW_TRIPLES)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_one_add_per_triple(self, raw_triples):
+        catalog = ItemCatalog(item_class=[0, 1, 0, 2])
+        triples = [Triple(*raw) for raw in raw_triples]
+        expected = _indexes(_added_one_by_one(catalog, triples))
+        assert _indexes(Strategy(catalog, triples)) == expected
+        assert _indexes(Strategy(catalog, raw_triples)) == expected
+        assert _indexes(Strategy(catalog, iter(raw_triples))) == expected
+        assert _indexes(Strategy(catalog, (Triple(*raw)
+                                           for raw in raw_triples))) == expected
+
+    def test_stores_triples_whatever_the_input_type(self, wide_catalog):
+        strategy = Strategy(wide_catalog, [(0, 1, 2), Triple(1, 2, 0)])
+        assert all(type(triple) is Triple for triple in strategy)
+        assert all(type(triple) is Triple
+                   for _, group in strategy.groups() for triple in group)
+
+    @pytest.mark.parametrize("source", [list, iter])
+    def test_duplicate_raises_as_add_does(self, wide_catalog, source):
+        triples = [Triple(0, 0, 0), Triple(1, 2, 1), Triple(1, 2, 1),
+                   Triple(0, 0, 0)]
+        with pytest.raises(ValueError) as added:
+            _added_one_by_one(wide_catalog, triples)
+        with pytest.raises(ValueError) as bulk:
+            Strategy(wide_catalog, source(triples))
+        assert str(bulk.value) == str(added.value)
+        assert "(u1, i2, t1)" in str(bulk.value)
+
+    @given(_RAW_TRIPLES)
+    @settings(max_examples=50, deadline=None)
+    def test_copy_equals_its_source(self, raw_triples):
+        catalog = ItemCatalog(item_class=[0, 1, 0, 2])
+        source = Strategy(catalog, raw_triples)
+        clone = source.copy()
+        # The copy re-adds the member set, so group lists may list their
+        # triples in another order; every index holds the same content.
+        groups, display, audiences, chronological, members = _indexes(clone)
+        expected = _indexes(source)
+        assert ({key: set(group) for key, group in groups}
+                == {key: set(group) for key, group in expected[0]})
+        assert dict(display) == dict(expected[1])
+        assert (audiences, chronological, members) == expected[2:]
+
+    def test_empty_construction_costs_what_it_did(self, wide_catalog):
+        class Before:
+            """The constructor ``Strategy`` had before the one-pass fill."""
+
+            def __init__(self, catalog, triples=None):
+                self._catalog = catalog
+                self._triples = set()
+                self._by_user_class = {}
+                self._display_count = {}
+                self._item_users = {}
+                if triples is not None:
+                    for triple in triples:
+                        self.add(triple)
+
+        best = {Strategy: float("inf"), Before: float("inf")}
+        for _ in range(7):
+            for cls in best:
+                best[cls] = min(best[cls], timeit.timeit(
+                    lambda cls=cls: cls(wide_catalog), number=2000))
+        assert best[Strategy] <= 1.5 * best[Before]
