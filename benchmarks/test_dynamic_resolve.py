@@ -124,7 +124,10 @@ def _run():
     initial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm_strategy = solver.resolve(_copy_delta(delta))
+    solver.resolve(_copy_delta(delta))
+    # Read inside the timed region: the cold baseline builds its strategy
+    # too, so the ratio compares like with like.
+    warm_strategy = solver.strategy
     resolve_seconds = time.perf_counter() - start
     stats = dict(solver.last_stats)
 

@@ -182,14 +182,14 @@ class GlobalGreedy(RevMaxAlgorithm):
             solver = IncrementalSolver(instance)
             self._incremental = solver
             if delta is None:
-                strategy = solver.solve()
+                solver.solve()
             else:
-                strategy = solver.resolve(delta)
+                solver.resolve(delta)
         else:
-            strategy = solver.resolve(delta)
+            solver.resolve(delta)
         self.last_growth_curve = list(solver.growth_curve)
         self.last_extras["resolve"] = dict(solver.last_stats)
-        return strategy
+        return solver.strategy
 
 
 class GlobalGreedyNoSaturation(GlobalGreedy):

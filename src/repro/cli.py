@@ -299,9 +299,9 @@ def _command_resolve(args: argparse.Namespace) -> int:
         print(delta.summary())
     start = time.perf_counter()
     if delta is None and args.state is None:
-        strategy = solver.solve()
+        solver.solve()
     else:
-        strategy = solver.resolve(delta)
+        solver.resolve(delta)
     seconds = time.perf_counter() - start
     stats = solver.last_stats
     detail = ""
@@ -312,14 +312,14 @@ def _command_resolve(args: argparse.Namespace) -> int:
         detail = f"  fallback: {stats['fallback_reason']}"
     print(f"re-solve mode={stats['mode']}{detail}")
     print(
-        f"strategy: {len(strategy):,} triples  "
+        f"strategy: {stats['admitted']:,} triples  "
         f"revenue={solver.revenue:,.2f}  ({seconds:.2f}s)"
     )
     if args.save_state:
         repro_io.save_solver_state(solver.state(), args.save_state)
         print(f"solver state written to {args.save_state}")
     if args.save_strategy:
-        repro_io.save_strategy(strategy, args.save_strategy,
+        repro_io.save_strategy(solver.strategy, args.save_strategy,
                                instance_name=instance.name)
         print(f"strategy written to {args.save_strategy}")
     if args.save_instance:

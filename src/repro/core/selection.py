@@ -79,56 +79,69 @@ class SelectionTrace:
     """Record of one greedy selection run, consumed by the dynamic layer.
 
     The incremental re-solver (:mod:`repro.dynamic.incremental`) replays a
-    previous run instead of re-popping the frontier.  What it needs is the
-    run's *pop sequence*, split per user:
+    previous run instead of re-popping the frontier.  It needs each
+    admission and the key it popped behind:
 
-    * ``events`` -- for each user, the ordered selector-level pops of that
-      user's candidates as ``(priority, item, t, admitted)`` rows, with
-      ``admitted`` a ``0``/``1`` int (the persisted state's encoding).  A pop
-      the selector answered with a lazy refresh or a display discard is a
-      *gate* (``admitted=0``): it admits nothing, but its priority is
-      what the rest of the frontier had to beat for the pop to happen, so
-      replaying gates reproduces the global interleaving exactly -- even
-      when a refresh *raises* a priority (the revenue function is close to
-      but not exactly submodular, so that genuinely happens);
     * ``admissions`` -- the ``(user, item, t, gain)`` admission rows in
       global admission order (for the supported configuration the gain
       *is* the fresh priority at admission time);
+    * ``behind`` -- for the admissions that popped behind a lower key of
+      their own user, ``{admission index: (priority, item)}``: the user's
+      *floor* when the admission was recorded, i.e. the lowest
+      ``(priority, item)`` the selector had popped for that user so far,
+      the larger item losing a tie.  Every other admission's key is its
+      own ``(gain, item)``.  A pop the selector answered with a lazy
+      refresh or a display discard (``record_gate``) admits nothing but
+      can lower the floor: the rest of the frontier had to beat its
+      priority for it to pop, so a later admission of the same user pops
+      no earlier than that key -- even when a refresh *raised* its
+      priority (the revenue function is close to but not exactly
+      submodular, so that genuinely happens).  Within one user, CSR rows
+      are sorted by item, so ``(-priority, item)`` orders the user's pops
+      as the columnar frontier's ``(-priority, row)`` does;
     * ``truncated`` -- the run ended at the non-positive break with
-      candidates still in the frontier.  The per-user sequences were cut at
-      a *global* condition (entries below the break value might still
-      resurrect through a non-submodular refresh), so they cannot be
-      replayed user by user; the re-solver falls back to a cold replay.
-      Runs that drain their frontier (every candidate admitted or
-      discarded -- the common case once display slots fill) record
-      complete sequences;
+      candidates still in the frontier.  The run was cut at a *global*
+      condition (entries below the break value might still resurrect
+      through a non-submodular refresh), so it cannot be replayed user by
+      user; the re-solver falls back to a cold replay.  Runs that drain
+      their frontier (every candidate admitted or discarded -- the common
+      case once display slots fill) replay;
     * ``capped`` -- the run exited at its ``max_selections`` cap with
       candidates still in the frontier.  Generally as unreplayable as a
       break, *except* when the cap is :func:`selection_bound`: reaching it
-      means every user's slots are full, the unrecorded suffix of every
-      sequence is pure display discards, and omitting it changes nothing
-      (the incremental solver relies on exactly that);
+      means every user's slots are full, the unrecorded pops of every user
+      are pure display discards after its last admission, and omitting
+      them changes nothing (the incremental solver relies on exactly that);
     * ``capacity_blocked`` -- a capacity constraint fired, coupling users;
       per-user replay is then unsound and the re-solver falls back.
     """
 
     def __init__(self) -> None:
-        self.events: Dict[int, List[Tuple[float, int, int, int]]] = {}
         self.admissions: List[Tuple[int, int, int, float]] = []
+        self.behind: Dict[int, Tuple[float, int]] = {}
         self.truncated = False
         self.capped = False
         self.capacity_blocked = False
+        self._floors: Dict[int, Tuple[float, int]] = {}
 
     def record_admit(self, triple: Triple, gain: float) -> None:
+        key = (gain, triple.item)
+        floor = self._lower_floor(triple.user, key)
+        if floor != key:
+            self.behind[len(self.admissions)] = floor
         self.admissions.append((triple.user, triple.item, triple.t, gain))
-        self.events.setdefault(triple.user, []).append(
-            (gain, triple.item, triple.t, 1)
-        )
 
     def record_gate(self, triple: Triple, priority: float) -> None:
-        self.events.setdefault(triple.user, []).append(
-            (priority, triple.item, triple.t, 0)
-        )
+        self._lower_floor(triple.user, (priority, triple.item))
+
+    def _lower_floor(self, user: int,
+                     key: Tuple[float, int]) -> Tuple[float, int]:
+        """Lower ``user``'s floor to ``key`` if it pops later; return it."""
+        floor = self._floors.get(user)
+        if floor is None or key[0] < floor[0] or (
+                key[0] == floor[0] and key[1] > floor[1]):
+            self._floors[user] = floor = key
+        return floor
 
 
 def selection_bound(instance: RevMaxInstance,
@@ -212,8 +225,8 @@ class LazyGreedySelector:
         max_selections: absolute cap on the strategy size (``None``: admit
             until the frontier is exhausted or goes non-positive).
         trace: optional :class:`SelectionTrace` receiving the run's
-            per-user pop sequences (the dynamic re-solve layer's warm
-            state).
+            admissions and the keys they popped behind (the dynamic
+            re-solve layer's warm state).
     """
 
     def __init__(self, instance: RevMaxInstance, model: RevenueModel,

@@ -15,10 +15,10 @@ layer wrapped around those tensors consistent:
   per-item tensors are patched in place, and a cached fresh compilation is
   patched alongside so ``instance.compiled()`` stays free.
 
-Either way the function mutates ``instance`` and returns it; revenue models
-built *before* the delta keep their memoised group revenues, which is
-exactly what :class:`repro.dynamic.incremental.IncrementalSolver` exploits
-(it invalidates only the entries the delta dirtied).
+Either way the function mutates ``instance`` and returns it.  Revenue
+models memoise nothing: every evaluation reads the instance's tensors as
+they are at that call, so a model built *before* the delta scores the
+patched instance, and nothing needs invalidating.
 """
 
 from __future__ import annotations

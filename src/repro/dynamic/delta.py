@@ -210,15 +210,6 @@ class InstanceDelta:
         """(item, t) cells of the price matrix the delta rewrites."""
         return set(self.price_updates)
 
-    def horizon_of_vectors(self) -> int:
-        """Length of the first probability vector (-1 when none present)."""
-        for vector in self.probability_updates.values():
-            return int(vector.shape[0])
-        for pairs in self.new_users.values():
-            for vector in pairs.values():
-                return int(vector.shape[0])
-        return -1
-
     # ------------------------------------------------------------------
     # JSON round-trip
     # ------------------------------------------------------------------

@@ -26,13 +26,16 @@ user's candidates (lazy refreshes, display discards, admissions, each with
 the priority it popped at) is a deterministic function of that user's rows
 alone, and the global run is exactly the **k-way merge** of those per-user
 sequences by the columnar frontier's comparator ``(-priority, CSR row)``.
-Replaying the recorded sequences is one stable sort over all their events
-(:func:`_pop_order`) -- no revenue kernels, no frontier, no freshness
-bookkeeping.  Gate events (refreshes and discards) are merged as well as
-admissions, which is what keeps the interleaving exact even where a lazy
-refresh *raises* a priority (the revenue function is close to but not
-exactly submodular, and such upward refreshes do occur on real pipeline
-data).
+In that merge every pop happens at its *effective key*: the lowest
+priority its user has popped so far, itself included, the larger row
+losing a tie (``docs/architecture.md`` has the argument).  The trace records that key with each admission
+(:class:`~repro.core.selection.SelectionTrace`), so replaying the
+admissions is one sort by effective key (:meth:`IncrementalSolver._merge`)
+-- no revenue kernels, no frontier, no freshness bookkeeping.  A lazy
+refresh or display discard enters only through the lower key it leaves
+behind, which is what keeps the interleaving exact even where a refresh
+*raises* a priority (the revenue function is close to but not exactly
+submodular, and such upward refreshes do occur on real pipeline data).
 
 A delta therefore re-solves as:
 
@@ -45,13 +48,14 @@ A delta therefore re-solves as:
   whitelist -- the decomposition makes each user's pops in that joint
   run exactly its pops in the cold run, every float and tie-break
   included);
-* merge the fresh dirty sequences with the recorded clean sequences.
+* merge the dirty users' fresh admissions with the clean users' recorded
+  ones.
 
 Soundness guards
 ----------------
-Per-user replay additionally requires the recorded sequences to be
+Per-user replay additionally requires the recorded run to be
 *complete*: a run that ends at the non-positive break cut every user's
-sequence at a global condition, and a run that hit a capacity block coupled
+pops at a global condition, and a run that hit a capacity block coupled
 users.  Both are recorded on the trace
 (:class:`~repro.core.selection.SelectionTrace`); when a guard fails --
 including the capacity certificate on the *mutated* capacities --
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
@@ -94,7 +99,7 @@ __all__ = ["IncrementalSolver", "SolverState", "instance_signature"]
 def instance_signature(instance: RevMaxInstance) -> str:
     """Content digest of the tensors a solver state is only valid against.
 
-    Recorded pop sequences replay correctly only on the *exact* instance
+    Recorded admissions replay correctly only on the *exact* instance
     they were computed on; pairing a persisted state with different
     tensors would silently merge to a wrong strategy.  This digest (sha256
     over the compiled tensors and the scalar dimensions) is stored in
@@ -115,25 +120,20 @@ def instance_signature(instance: RevMaxInstance) -> str:
         digest.update(array.tobytes())
     return digest.hexdigest()
 
-#: One selector-level pop: ``(priority, item, t, admitted)``, ``admitted``
-#: a ``0``/``1`` int (see :class:`~repro.core.selection.SelectionTrace`).
-_Event = Tuple[float, int, int, int]
 #: One admission: ``(user, item, t, gain)``.
 _Admit = Tuple[int, int, int, float]
-#: One kept gate: ``(position, priority, item, t)``, ``position`` its index
-#: in the user's compressed pop sequence (admissions and kept gates).
-_Gate = Tuple[int, float, int, int]
+#: The key an admission popped behind: ``(priority, item)`` of its user.
+_Key = Tuple[float, int]
 
 
 @dataclass
 class SolverState:
     """The persistable warm state of an :class:`IncrementalSolver`.
 
-    Every admission is stored once, as an ``admits`` row.  A user's
-    compressed pop sequence -- what the next re-solve merges -- is its
-    admissions in ``admits`` order with its ``gates`` slotted in at their
-    recorded positions, so the sequences need no second copy of the
-    admissions.  Rows are tuples in exactly the shape
+    Every admission is stored once, as an ``admits`` row, and the next
+    re-solve merges nothing else: an admission's merge key is its own
+    ``(gain, item)`` unless ``behind`` names the lower key it popped
+    behind.  Rows are tuples in exactly the shape
     :func:`repro.io.save_solver_state` encodes, so neither an export nor a
     warm start converts them one by one.  The state
     :meth:`IncrementalSolver.state` returns owns its list and dict:
@@ -143,13 +143,12 @@ class SolverState:
         admits: the admission sequence of the last solve in global admission
             order, as ``(user, item, t, gain)`` rows.  Encodes the strategy,
             the growth curve (the running float sum of gains reproduces it
-            bit for bit), the admission order, and each user's admitted
-            pops (an admission pops at its gain).
-        gates: the refresh and discard gates the compression keeps (see
-            :func:`_kept_gates`; usually very few), per user with at least
-            one, each a ``(position, priority, item, t)`` row whose
-            ``position`` is its index in the user's compressed sequence.
-        complete: whether the sequences are replayable in isolation (the
+            bit for bit) and the admission order.
+        behind: ``{index into admits: (priority, item)}`` for the
+            admissions that popped behind a lower key of their own user
+            (see :class:`~repro.core.selection.SelectionTrace`; usually
+            none).
+        complete: whether the admissions are replayable user by user (the
             recorded run drained its frontier and never hit a capacity
             block).  ``False`` forces the next re-solve onto the cold
             fallback.
@@ -160,7 +159,7 @@ class SolverState:
     """
 
     admits: List[_Admit] = field(default_factory=list)
-    gates: Dict[int, Tuple[_Gate, ...]] = field(default_factory=dict)
+    behind: Dict[int, _Key] = field(default_factory=dict)
     complete: bool = True
     instance_name: str = "revmax-instance"
     signature: str = ""
@@ -181,7 +180,7 @@ class IncrementalSolver:
     cold columnar G-Greedy (bit-identical to
     ``GlobalGreedy().build_strategy(instance)``) while recording the warm
     state, and :meth:`resolve` mutates the instance per a delta and repairs
-    the strategy, replaying the recorded pop sequences of every user the
+    the strategy, replaying the recorded admissions of every user the
     delta cannot touch.
 
     Only the paper-default configuration is supported (isolated seeds, lazy
@@ -191,12 +190,15 @@ class IncrementalSolver:
     :class:`~repro.algorithms.global_greedy.GlobalGreedy` as before.
 
     The warm state is the last run's ``(user, item, t, gain)`` admission
-    rows plus the per-user kept gates -- the :class:`SolverState`
-    layout.  The cold loop hands over the strategy and growth curve it
+    rows plus the keys some of them popped behind -- the
+    :class:`SolverState` layout.  :meth:`solve` and :meth:`resolve` return
+    nothing.  The cold loop hands over the strategy and growth curve it
     built anyway; a merge or :meth:`from_state` records only the rows, and
     :attr:`strategy`, :attr:`growth_curve` and :attr:`revenue` are built
     from them on first read.  So a warm start followed by a re-solve never
-    builds the pre-delta strategy it is about to replace.
+    builds the pre-delta strategy it is about to replace, and a caller
+    that only needs the size (``last_stats["admitted"]``) or the revenue
+    builds no strategy at all.
     ``last_stats`` holds the diagnostics of the last call: ``mode``
     (``"cold"``, ``"merge"``, ``"replay"`` or ``"from_state"``),
     ``admitted``, and per mode the dirty/reused split or the
@@ -212,7 +214,7 @@ class IncrementalSolver:
         self._instance = instance
         self.last_stats: Dict[str, object] = {}
         self._admits: Optional[List[_Admit]] = None
-        self._gates: Dict[int, Tuple[_Gate, ...]] = {}
+        self._behind: Dict[int, _Key] = {}
         self._complete = False
         self._state_version = -1
         self._strategy: Optional[Strategy] = None
@@ -248,25 +250,23 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     # cold solve
     # ------------------------------------------------------------------
-    def solve(self) -> Strategy:
+    def solve(self) -> None:
         """Run a cold columnar G-Greedy, recording the warm state."""
         self._run_cold(mode="cold")
-        return self.strategy
 
     def _run_cold(self, mode: str, **stats) -> None:
         """The cold reference loop over every user, shared with the fallback."""
-        gates, replayable, trace, strategy, growth_curve = self._traced_run()
-        self._install(trace.admissions, gates, replayable,
+        replayable, trace, strategy, growth_curve = self._traced_run()
+        self._install(trace.admissions, trace.behind, replayable,
                       strategy=strategy, growth_curve=growth_curve)
         self.last_stats = {"mode": mode, "admitted": len(strategy), **stats}
 
     def _traced_run(self, users: Optional[List[int]] = None):
         """One traced pass of the cold loop over ``users`` (``None``: all).
 
-        Returns the kept gates of every user of ``users`` (``None``: of
-        every user that popped anything), whether the pass replays user by
-        user, and the trace, strategy and growth curve of the pass; the
-        trace's ``admissions`` are the pass's admission rows.
+        Returns whether the pass replays user by user and the pass's
+        trace, strategy and growth curve; the trace's ``admissions`` and
+        ``behind`` are the pass's share of the warm state.
         """
         instance = self._instance
         trace = SelectionTrace()
@@ -283,21 +283,17 @@ class IncrementalSolver:
                         growth_curve=growth_curve, initial_revenue=0.0)
         # A capped exit is replayable because the bound is the
         # display-theoretic maximum: reaching it means every user's display
-        # slots are full, so the unrecorded suffix of every per-user
-        # sequence is pure display discards and omitting it is harmless.
+        # slots are full, so every user's unrecorded pops are display
+        # discards after its last admission and omitting them is harmless.
         # A pass over a proper subset of the users can never reach it.
         replayable = not (trace.truncated or trace.capacity_blocked)
-        gates = {
-            user: _kept_gates(trace.events.get(user, ()))
-            for user in (trace.events if users is None else users)
-        }
-        return gates, replayable, trace, strategy, growth_curve
+        return replayable, trace, strategy, growth_curve
 
     # ------------------------------------------------------------------
     # incremental re-solve
     # ------------------------------------------------------------------
-    def resolve(self, delta: Optional[InstanceDelta] = None) -> Strategy:
-        """Apply ``delta`` and repair the strategy; return the new strategy.
+    def resolve(self, delta: Optional[InstanceDelta] = None) -> None:
+        """Apply ``delta`` and repair the strategy (read :attr:`strategy`).
 
         The result is exactly what ``solve()`` would produce on the mutated
         instance -- the same triples admitted in the same order with the
@@ -309,7 +305,7 @@ class IncrementalSolver:
         Args:
             delta: the batch of changes; ``None`` or an empty delta
                 re-solves the unchanged instance (a no-op that replays
-                every recorded sequence -- the identity the differential
+                every recorded admission -- the identity the differential
                 suite pins down).
         """
         if delta is None:
@@ -317,7 +313,7 @@ class IncrementalSolver:
         had_state = self._admits is not None
         # Mutations that did not come through this solver (a direct
         # apply_delta on the instance, table.set calls, ...) invalidate the
-        # recorded sequences; the adoption-table mutation counter catches
+        # recorded admissions; the adoption-table mutation counter catches
         # them.  (Silent in-place writes to the price/capacity arrays are
         # the one thing this cannot see -- route changes through deltas.)
         externally_mutated = (
@@ -332,69 +328,60 @@ class IncrementalSolver:
             apply_delta(self._instance, delta)
         if not had_state:
             self._run_cold(mode="replay", fallback_reason="no warm state")
-            return self.strategy
+            return
         if externally_mutated:
             self._run_cold(mode="replay",
                            fallback_reason="instance mutated outside the "
                                            "solver")
-            return self.strategy
+            return
         if not self._complete:
             self._run_cold(
                 mode="replay",
                 fallback_reason="previous run not user-replayable "
                                 "(non-positive break or capacity block)",
             )
-            return self.strategy
+            return
         if not self._capacity_safe():
             self._run_cold(mode="replay",
                            fallback_reason="capacity constraint can bind")
-            return self.strategy
+            return
 
         dirty = self._dirty_users(touched_pairs, price_cells, new_users)
-        fresh_admits: List[_Admit] = []
-        fresh_gates: Dict[int, Tuple[_Gate, ...]] = {}
+        fresh = SelectionTrace()
         if dirty:
-            fresh_gates, replayable, trace, *_ = self._traced_run(
-                sorted(dirty))
+            replayable, fresh, *_ = self._traced_run(sorted(dirty))
             if not replayable:
                 self._run_cold(mode="replay",
                                fallback_reason="dirty re-run not "
                                                "user-replayable",
                                dirty_users=len(dirty))
-                return self.strategy
-            fresh_admits = trace.admissions
-
-        admits = [row for row in self._admits if row[0] not in dirty]
-        gates = {user: rows for user, rows in self._gates.items()
-                 if user not in dirty}
-        reused = len(admits) + sum(map(len, gates.values()))
-        gates.update(fresh_gates)
-        admits = self._merge(admits + fresh_admits, gates)
-        self._install(admits, gates, True)
+                return
+        admits, behind = _spliced(self._admits, self._behind, dirty, fresh)
+        reused = len(admits) - len(fresh.admissions)
+        admits, behind = self._merge(admits, behind)
+        self._install(admits, behind, True)
         self.last_stats = {
             "mode": "merge",
             "admitted": len(admits),
             "dirty_users": len(dirty),
             "reused_events": reused,
         }
-        return self.strategy
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _install(self, admits: List[_Admit],
-                 gates: Dict[int, Tuple[_Gate, ...]], complete: bool,
-                 strategy: Optional[Strategy] = None,
+    def _install(self, admits: List[_Admit], behind: Dict[int, _Key],
+                 complete: bool, strategy: Optional[Strategy] = None,
                  growth_curve: Optional[List[Tuple[int, float]]] = None
                  ) -> None:
-        """Adopt a run's admission rows and kept gates as the warm state.
+        """Adopt a run's admission rows and their keys as the warm state.
 
         ``strategy`` and ``growth_curve`` are passed only by a run that
         built them anyway; otherwise the properties build them from
         ``admits`` on first read.
         """
         self._admits = admits
-        self._gates = gates
+        self._behind = behind
         self._complete = complete
         self._strategy = strategy
         self._growth_curve = growth_curve
@@ -418,7 +405,7 @@ class IncrementalSolver:
     def _dirty_users(self, touched_pairs: Set[Tuple[int, int]],
                      price_cells: Set[Tuple[int, int]],
                      new_users: List[int]) -> Set[int]:
-        """Users whose pop sequences the delta can touch.
+        """Users whose pops the delta can touch.
 
         A user is dirty when one of its candidate pairs' probability
         vectors changed, when one of its candidate items had a price cell
@@ -426,7 +413,7 @@ class IncrementalSolver:
         move -- and, through the shared (user, class) group, same-class
         marginals can too), or when it is new.  Everyone else's rows, seeds
         and group states are byte-identical to the previous run, so their
-        recorded sequences replay verbatim.
+        recorded admissions replay verbatim.
         """
         compiled = self._instance.compiled()
         dirty: Set[int] = set(user for user, _ in touched_pairs)
@@ -436,65 +423,43 @@ class IncrementalSolver:
             dirty.update(compiled.pair_user[rows].tolist())
         return dirty
 
-    def _merge(self, admits: List[_Admit],
-               gates: Dict[int, Tuple[_Gate, ...]]) -> List[_Admit]:
-        """Merge per-user pop sequences in cold heap order.
+    def _merge(self, admits: List[_Admit], behind: Dict[int, _Key]
+               ) -> Tuple[List[_Admit], Dict[int, _Key]]:
+        """Order admissions as the cold run pops them.
 
         ``admits`` holds every user's admission rows, each user's in its
-        own pop order (users may interleave); ``gates`` are the kept gates
-        of the same users.  Each user's compressed sequence is laid out in
-        one flat, user-major array, and :func:`_pop_order` sorts it into
-        the order the cold columnar frontier, serving pops by
-        ``(-priority, CSR row)``, pops it in.  With capacity out of the
-        picture that is the cold run's pop order, so the merge reproduces
-        its admissions without touching a revenue kernel.  Returns the
-        rows of ``admits`` in that order (the same tuples, no copies); the
-        strategy and growth curve are built from them when read.
+        own pop order (users may interleave); ``behind`` maps indices of
+        ``admits`` to the keys those admissions popped behind.  With
+        capacity out of the picture the cold columnar frontier, serving
+        pops by ``(-priority, CSR row)``, pops each admission at its
+        effective key -- ``behind``'s entry or its own ``(gain, item)`` --
+        and in increasing order of that key (``docs/architecture.md``), so
+        the merge is one ``lexsort`` and touches no revenue kernel.  Keys
+        of different users never tie (rows belong to one user); a user's
+        tied keys keep its own order, since ``lexsort`` is stable.
+
+        Returns the rows of ``admits`` in that order (the same tuples, no
+        copies; the strategy and growth curve are built from them when
+        read) and ``behind`` re-indexed to it.
         """
-        compiled = self._instance.compiled()
-        num_users = compiled.num_users
-        gate_users = [user for user, rows in gates.items() if rows]
-        gate_table = np.array(
-            [row for user in gate_users for row in gates[user]],
-            dtype=np.float64,
-        ).reshape(-1, 4)
-        gate_user = np.repeat(
-            np.asarray(gate_users, dtype=np.int64),
-            [len(gates[user]) for user in gate_users],
-        )
         # One conversion of the rows; user, item and time ids are far below
         # 2**53, so float columns hold them exactly.
         table = np.fromiter(chain.from_iterable(admits), dtype=np.float64,
                             count=4 * len(admits)).reshape(-1, 4)
-        admit_user = table[:, 0].astype(np.int64)
-        lengths = (np.bincount(admit_user, minlength=num_users)
-                   + np.bincount(gate_user, minlength=num_users))
-        starts = np.cumsum(lengths) - lengths
-        count = int(lengths.sum())
-
-        # The flat layout: user-major, each user's events in sequence
-        # order.  Gates sit at their recorded positions; the user's
-        # admissions fill its remaining slots in their own order, and
-        # ``source`` maps each admission slot back to its row of ``admits``.
-        is_gate = np.zeros(count, dtype=bool)
-        gate_slots = starts[gate_user] + gate_table[:, 0].astype(np.int64)
-        is_gate[gate_slots] = True
-        admit_slots = np.flatnonzero(~is_gate)
-        by_user = np.argsort(admit_user, kind="stable")
-        items = np.empty(count, dtype=np.int64)
-        priorities = np.empty(count, dtype=np.float64)
-        items[gate_slots] = gate_table[:, 2]
-        priorities[gate_slots] = gate_table[:, 1]
-        items[admit_slots] = table[by_user, 1]
-        priorities[admit_slots] = table[by_user, 3]
-        source = np.empty(count, dtype=np.int64)
-        source[admit_slots] = by_user
-        users = np.repeat(np.arange(num_users, dtype=np.int64), lengths)
-
-        order = _pop_order(lengths, priorities,
-                           compiled.pair_rows(users, items))
-        popped = source[order[~is_gate[order]]]
-        return list(map(admits.__getitem__, popped.tolist()))
+        items = table[:, 1].astype(np.int64)
+        priorities = table[:, 3]
+        index = np.fromiter(behind, dtype=np.int64, count=len(behind))
+        keys = np.array(list(behind.values()),
+                        dtype=np.float64).reshape(-1, 2)
+        priorities[index] = keys[:, 0]
+        items[index] = keys[:, 1]
+        rows = self._instance.compiled().pair_rows(
+            table[:, 0].astype(np.int64), items)
+        order = np.lexsort((rows, -priorities))
+        position = np.empty_like(order)
+        position[order] = np.arange(order.shape[0])
+        return (list(map(admits.__getitem__, order.tolist())),
+                dict(zip(position[index].tolist(), behind.values())))
 
     # ------------------------------------------------------------------
     # persistence
@@ -509,7 +474,7 @@ class IncrementalSolver:
             raise ValueError("no solver state to export: call solve() first")
         return SolverState(
             admits=list(self._admits),
-            gates={user: rows for user, rows in self._gates.items() if rows},
+            behind=dict(self._behind),
             complete=self._complete,
             instance_name=self._instance.name,
             signature=instance_signature(self._instance),
@@ -520,7 +485,7 @@ class IncrementalSolver:
                    state: SolverState) -> "IncrementalSolver":
         """Rebuild a warm solver from a persisted state.
 
-        The rows and gates are installed as they are; the strategy,
+        The rows and keys are installed as they are; the strategy,
         growth curve and revenue are built from the rows on first read, so
         a warm start that goes straight into :meth:`resolve` never builds
         the strategy the re-solve replaces.
@@ -546,11 +511,8 @@ class IncrementalSolver:
             )
         solver = cls(instance)
         # Shallow copies: the caller's state stays its own to mutate.
-        solver._install(
-            list(state.admits),
-            {user: tuple(rows) for user, rows in state.gates.items()},
-            bool(state.complete),
-        )
+        solver._install(list(state.admits), dict(state.behind),
+                        bool(state.complete))
         solver.last_stats = {"mode": "from_state",
                              "admitted": len(state.admits)}
         return solver
@@ -575,64 +537,19 @@ def _strategy_from_admits(catalog: ItemCatalog,
                         (Triple(user, item, t) for user, item, t, _ in admits))
 
 
-def _pop_order(lengths: np.ndarray, priorities: np.ndarray,
-               rows: np.ndarray) -> np.ndarray:
-    """The order a heap merge pops flattened per-user sequences in.
+def _spliced(admits: List[_Admit], behind: Dict[int, _Key],
+             users: Set[int], fresh: SelectionTrace
+             ) -> Tuple[List[_Admit], Dict[int, _Key]]:
+    """The rows of ``admits`` not owned by ``users``, then ``fresh``'s rows.
 
-    The events are laid out user-major, ``lengths[u]`` of them for user
-    ``u`` in sequence order.  A k-way heap merge keyed by
-    ``(-priority, row)`` pops an event only after everything before it in
-    its sequence, so the event pops at the running maximum of its user's
-    keys up to and including it, and the merge is one stable sort by that
-    running maximum (within a user the maximum never decreases, so the
-    sort keeps sequence order).  Keys are ranked globally first -- ties,
-    which share a row and hence a user, rank in sequence order -- and a
-    per-user offset keeps ``maximum.accumulate`` from carrying across
-    users.  Rows belong to one user, so running maxima of different users
-    never tie.  ``tests/test_dynamic.py`` holds this equal to a ``heapq``
-    merge.
+    ``behind`` and ``fresh.behind`` are re-indexed to the spliced rows.
     """
-    count = priorities.shape[0]
-    rank = np.empty(count, dtype=np.int64)
-    rank[np.lexsort((rows, -priorities))] = np.arange(count, dtype=np.int64)
-    offset = np.repeat(np.arange(lengths.shape[0], dtype=np.int64) * count,
-                       lengths)
-    effective = np.maximum.accumulate(rank + offset) - offset
-    return np.argsort(effective, kind="stable")
-
-
-def _kept_gates(sequence: List[_Event]) -> Tuple[_Gate, ...]:
-    """The gates of a user's pop sequence that can affect the merge.
-
-    A gate's only role is to *hide* the user's later, higher-valued events
-    behind its own priority: without it, a later event would surface in
-    the global merge earlier than the cold run allows (see the module
-    docstring on non-submodular upward refreshes).  A gate strictly
-    greater than **every** later event of the same user hides nothing --
-    dropping it just presents the user's next event immediately, and since
-    that next event is strictly smaller, every other user's event that the
-    cold run would pop in between still pops in between.  Admissions are
-    always kept.  Equal values are kept conservatively: a later equal
-    value's tie-break row could differ from the gate's.
-
-    In practice this removes the long tail of display discards a
-    saturated run pops while draining its frontier -- typically >half of
-    all recorded events -- which is pure merge/persistence overhead.
-    Each kept gate is returned with its position in the compressed
-    sequence (admissions and kept gates), where the merge slots it back.
-    """
-    kept: List[_Event] = []
-    suffix_max = float("-inf")
-    for event in reversed(sequence):
-        priority = event[0]
-        if event[3] or priority <= suffix_max:
-            kept.append(event)
-        if priority > suffix_max:
-            suffix_max = priority
-    kept.reverse()
-    return tuple((position, priority, item, t)
-                 for position, (priority, item, t, admitted)
-                 in enumerate(kept) if not admitted)
+    kept = [index for index, row in enumerate(admits) if row[0] not in users]
+    spliced = {bisect_left(kept, index): key for index, key in behind.items()
+               if admits[index][0] not in users}
+    spliced.update((len(kept) + index, key)
+                   for index, key in fresh.behind.items())
+    return list(map(admits.__getitem__, kept)) + fresh.admissions, spliced
 
 
 @contextmanager

@@ -43,11 +43,9 @@ import json
 import os
 import uuid
 import zipfile
-from collections import Counter
 from contextlib import contextmanager
-from operator import itemgetter
 from pathlib import Path
-from typing import IO, Dict, Iterator, List, Optional, Union
+from typing import IO, Dict, Iterator, Optional, Union
 
 import numpy as np
 
@@ -350,20 +348,21 @@ def solver_state_to_dict(state: SolverState) -> Dict:
     """Encode an incremental solver's warm state as a JSON document.
 
     The document holds the admission sequence in global admission order
-    (``admits``: ``[user, item, t, gain]`` rows) and, per user, the gates
-    the next re-solve merges besides the admissions (``gates``:
-    ``[position, priority, item, t]`` rows) -- exactly what
+    (``admits``: ``[user, item, t, gain]`` rows) and the keys some of
+    those admissions popped behind (``behind``: ``{"<index into admits>":
+    [priority, item]}``) -- exactly what
     :meth:`repro.dynamic.incremental.IncrementalSolver.state` exports.
-    Each admission is stored once: a user's pop sequence is its admissions
-    with its gates slotted in at their positions.  Persisted alongside the
-    instance's ``.npz``, it lets a later process warm-start an incremental
-    re-solve without re-running the cold solve.
+    Each admission is stored once, and the next re-solve merges nothing
+    else.  Persisted alongside the instance's ``.npz``, it lets a later
+    process warm-start an incremental re-solve without re-running the cold
+    solve.
 
     The state's rows already have the document's shape, so they pass to
-    the encoder untouched; only the user keys become strings.  The file is
-    compact, key-sorted JSON from the C encoder (see :func:`_write_json`).
-    Floats round-trip exactly (``repr`` shortest-round-trip encoding), so a
-    warm start preserves the bit-identity guarantee.
+    the encoder untouched; only the indices become string keys.  The file
+    is compact, key-sorted JSON from the C encoder (see
+    :func:`_write_json`).  Floats round-trip exactly (``repr``
+    shortest-round-trip encoding), so a warm start preserves the
+    bit-identity guarantee.
     """
     return {
         "format_version": FORMAT_VERSION,
@@ -372,7 +371,7 @@ def solver_state_to_dict(state: SolverState) -> Dict:
         "signature": state.signature,
         "complete": bool(state.complete),
         "admits": state.admits,
-        "gates": {str(user): rows for user, rows in state.gates.items()},
+        "behind": {str(index): key for index, key in state.behind.items()},
     }
 
 
@@ -380,95 +379,40 @@ def solver_state_from_dict(document: Dict) -> SolverState:
     """Decode a solver state from :func:`solver_state_to_dict`'s document.
 
     The one conversion of loaded values: JSON arrays become the tuples
-    :class:`~repro.dynamic.incremental.SolverState` holds and user keys
-    become ints.  Reads indented files from older writers as well, and the
-    older layout that stored every user's whole pop sequence (admissions
-    included) under ``events`` instead of ``gates``.
+    :class:`~repro.dynamic.incremental.SolverState` holds and indices
+    become ints.  Reads indented files from older writers as well.
 
     Raises:
         ValueError: when the document carries no instance signature (a
             state that cannot be checked against its tensors would merge
-            against any instance), when a user's gate positions do not fit
-            its admissions, or when an ``events`` document's admissions
-            disagree with its ``admits``.
+            against any instance), when it has no ``behind`` object (the
+            older ``gates`` and ``events`` layouts), or when a ``behind``
+            index lies outside ``admits``.  Each message says how to
+            re-prime the state.
     """
     _check_document(document, "revmax-solver-state")
     if not document.get("signature"):
-        raise ValueError(
-            "solver state carries no instance signature; re-prime it with "
-            "repro resolve --load plan.npz --save-state state.json"
-        )
+        raise _reprime("solver state carries no instance signature")
+    if "behind" not in document:
+        raise _reprime("solver state has an older layout (no 'behind')")
     admits = list(map(tuple, document["admits"]))
-    if "gates" in document:
-        gates = {int(user): tuple(map(tuple, rows))
-                 for user, rows in document["gates"].items()}
-        _check_gate_positions(admits, gates)
-    else:
-        gates = _gates_from_events(admits, document.get("events", {}))
+    behind = {int(index): tuple(key)
+              for index, key in document["behind"].items()}
+    if any(not 0 <= index < len(admits) for index in behind):
+        raise _reprime(f"solver state has a 'behind' index outside its "
+                       f"{len(admits)} admits")
     return SolverState(
         admits=admits,
-        gates=gates,
+        behind=behind,
         complete=bool(document.get("complete", False)),
         instance_name=document.get("instance_name", "revmax-instance"),
         signature=document["signature"],
     )
 
 
-def _check_gate_positions(admits: List[tuple],
-                          gates: Dict[int, tuple]) -> None:
-    """Each user's gate positions must slot into its pop sequence.
-
-    The sequence holds the user's admissions and gates, so positions are
-    strictly increasing, non-negative and below their sum.
-    """
-    if not gates:
-        return
-    counts = Counter(map(itemgetter(0), admits))
-    for user, rows in gates.items():
-        positions = [row[0] for row in rows]
-        length = counts[user] + len(rows)
-        if positions and not (
-                0 <= positions[0] and positions[-1] < length
-                and all(a < b for a, b in zip(positions, positions[1:]))):
-            raise ValueError(
-                f"gate positions of user {user} do not fit its pop sequence "
-                f"of {length} events"
-            )
-
-
-def _gates_from_events(admits: List[tuple], events: Dict) -> Dict:
-    """The gates of the older ``events`` layout, checked against ``admits``.
-
-    That layout stored each user's compressed pop sequence as
-    ``[priority, item, t, admitted]`` rows.  Its admitted rows must be the
-    user's ``admits`` rows in order (an admission pops at its gain); the
-    gates keep their positions.
-    """
-    expected: Dict[int, list] = {}
-    for user, item, t, gain in admits:
-        expected.setdefault(user, []).append((item, t, gain))
-    gates = {}
-    for key, sequence in events.items():
-        user = int(key)
-        popped, kept = [], []
-        for position, (priority, item, t, admitted) in enumerate(sequence):
-            if admitted:
-                popped.append((item, t, priority))
-            else:
-                kept.append((position, priority, item, t))
-        if popped != expected.pop(user, []):
-            raise ValueError(
-                f"the admissions of user {user} in 'events' disagree with "
-                f"'admits'"
-            )
-        if kept:
-            gates[user] = tuple(kept)
-    if expected:
-        raise ValueError(
-            f"the admissions of user {min(expected)} in 'admits' are "
-            f"missing from 'events'"
-        )
-    return gates
+def _reprime(problem: str) -> ValueError:
+    return ValueError(f"{problem}; re-prime it with repro resolve --load "
+                      f"plan.npz --save-state state.json")
 
 
 def save_solver_state(state: SolverState, path: _PathLike) -> None:

@@ -10,6 +10,10 @@ Fixtures provide a ladder of instance sizes:
   property-based tests;
 * ``tiny_amazon_pipeline`` / ``tiny_epinions_pipeline`` -- full §6.1 pipelines
   at the smallest reproduction scale (session-scoped: built once).
+
+It also holds :class:`PopLog`, a :class:`SelectionTrace` that keeps every
+pop, with :func:`floors_of_pops` and :func:`build_behind_instance`, for
+the tests that compare whole pop sequences and admission keys.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import numpy as np
 import pytest
 
 from repro.core.problem import RevMaxInstance
+from repro.core.selection import SelectionTrace
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_columnar
 from repro.experiments.harness import prepare_dataset
 
 try:
@@ -44,6 +50,63 @@ if hypothesis_settings is not None:
     hypothesis_settings.load_profile(
         os.environ.get("HYPOTHESIS_PROFILE", "dev")
     )
+
+
+class PopLog(SelectionTrace):
+    """A :class:`SelectionTrace` that also logs every pop, per user.
+
+    ``pops[user]`` lists ``(priority, item, t, admitted)`` rows in the
+    order the selector popped them: the whole pop sequence, which the
+    trace itself keeps only as each admission's key.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pops = {}
+
+    def record_admit(self, triple, gain) -> None:
+        self.pops.setdefault(triple.user, []).append(
+            (gain, triple.item, triple.t, True))
+        super().record_admit(triple, gain)
+
+    def record_gate(self, triple, priority) -> None:
+        self.pops.setdefault(triple.user, []).append(
+            (priority, triple.item, triple.t, False))
+        super().record_gate(triple, priority)
+
+    def keyed_admissions(self):
+        """Per user, its admission rows in order, each with its merge key."""
+        keyed = {}
+        for index, row in enumerate(self.admissions):
+            key = self.behind.get(index, (row[3], row[1]))
+            keyed.setdefault(row[0], []).append((row, key))
+        return keyed
+
+
+def floors_of_pops(admissions, pops):
+    """What a trace's ``behind`` must be, worked out from its pop log.
+
+    ``admissions`` and ``pops`` are a :class:`PopLog`'s.  An admission
+    pops at the latest of its user's pops so far, itself included, under
+    the columnar frontier's order ``(-priority, row)`` (one user's rows
+    sort by item).  The admissions whose latest pop is not their own are
+    the ``behind`` entries, keyed by that pop's ``(priority, item)``.
+    """
+    indices = {}
+    for index, row in enumerate(admissions):
+        indices.setdefault(row[0], []).append(index)
+    expected = {}
+    for user, sequence in pops.items():
+        pending = iter(indices.get(user, ()))
+        latest = None
+        for priority, item, _, admitted in sequence:
+            order = (-priority, item)
+            latest = order if latest is None else max(latest, order)
+            if admitted:
+                index = next(pending)
+                if latest != order:
+                    expected[index] = (-latest[0], latest[1])
+    return expected
 
 
 @pytest.fixture
@@ -97,6 +160,19 @@ def build_random_instance(
         num_users=num_users,
         name=f"random-{seed}",
     )
+
+
+def build_behind_instance() -> RevMaxInstance:
+    """12 synthetic users whose solve records ``behind`` entries.
+
+    Some admission pops behind a lower pop of its own user.  Such runs are
+    rare, and every one found in a scan of small synthetic configurations
+    ended at the non-positive break, as this one does.
+    """
+    return generate_synthetic_columnar(SyntheticConfig(
+        num_users=12, num_items=8, num_classes=3, candidates_per_user=4,
+        horizon=3, display_limit=2, capacity_fraction=1.0, beta=0.5, seed=5,
+    ))
 
 
 @pytest.fixture

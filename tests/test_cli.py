@@ -338,9 +338,8 @@ class TestResolveCommand:
         assert captured.err.count("\n") == 1
         assert "no instance signature" in captured.err
 
-    def test_older_state_disagreeing_with_admits_rejected(self, tmp_path,
-                                                           capsys):
-        """An ``events`` state whose admissions contradict ``admits``."""
+    def test_older_state_layout_rejected(self, tmp_path, capsys):
+        """A ``gates`` state from an older writer: one re-prime line."""
         from tests.conftest import build_random_instance
 
         instance = build_random_instance(
@@ -348,17 +347,13 @@ class TestResolveCommand:
             display_limit=2, capacity=8, beta=0.95, density=1.0, seed=0,
         )
         instance_path = tmp_path / "plan.npz"
-        state_path = tmp_path / "state.json"
+        state_path = tmp_path / "old.json"
         repro_io.save_instance_npz(instance, instance_path)
         assert main(["resolve", "--load", str(instance_path),
                      "--save-state", str(state_path)]) == 0
         document = json.loads(state_path.read_text(encoding="utf-8"))
-        assert document.pop("gates") == {}
-        events = {}
-        for user, item, t, gain in document["admits"]:
-            events.setdefault(str(user), []).append([gain, item, t, 1])
-        events["0"][0][0] += 1.0
-        document["events"] = events
+        assert document.pop("behind") == {}
+        document["gates"] = {}
         state_path.write_text(json.dumps(document, indent=2),
                               encoding="utf-8")
         capsys.readouterr()
@@ -368,7 +363,8 @@ class TestResolveCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert str(state_path) in captured.err
-        assert "disagree with 'admits'" in captured.err
+        assert ("repro resolve --load plan.npz --save-state state.json"
+                in captured.err)
 
     def test_resolve_save_instance_persists_the_mutation(self, tmp_path,
                                                          capsys):

@@ -165,8 +165,8 @@ def test_all_engines_agree(data):
 
     solver = IncrementalSolver(build(data))
     solver.solve()
-    incremental = solver.resolve()  # empty delta: must replay identically
-    incremental_signature = (sorted(incremental.triples()),
+    solver.resolve()  # empty delta: must replay identically
+    incremental_signature = (sorted(solver.strategy.triples()),
                              solver.growth_curve)
 
     assert columnar == object_path
@@ -183,11 +183,11 @@ def test_incremental_resolve_agrees_with_cold(payload):
 
     solver = IncrementalSolver(build(data))
     solver.solve()
-    repaired = solver.resolve(build_delta(delta))
+    solver.resolve(build_delta(delta))
 
     mutated = build(data)
     apply_delta(mutated, build_delta(delta))
     reference, curve = solve_signature(mutated)
-    assert sorted(repaired.triples()) == reference
+    assert sorted(solver.strategy.triples()) == reference
     assert solver.growth_curve == curve
 

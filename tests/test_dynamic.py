@@ -26,8 +26,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.global_greedy import GlobalGreedy
+from repro.core.entities import Triple
 from repro.core.problem import RevMaxInstance
-from repro.core.selection import LazyGreedySelector
+from repro.core.selection import LazyGreedySelector, SelectionTrace
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_columnar
 from repro.dynamic import (
     IncrementalSolver,
@@ -37,7 +38,12 @@ from repro.dynamic import (
     save_delta,
 )
 from repro import io as repro_io
-from tests.conftest import build_random_instance
+from repro.dynamic import incremental
+from tests.conftest import (
+    PopLog,
+    build_behind_instance,
+    build_random_instance,
+)
 
 
 # ----------------------------------------------------------------------
@@ -102,10 +108,9 @@ def cold_reference(instance):
 def build_tied_instance(seed: int) -> RevMaxInstance:
     """8 users x 6 items whose prices and probabilities take two values each.
 
-    The ties make equal-valued pops common, so a solve keeps many gates
-    (a gate is kept when a later event of its user is not smaller); the
-    MERGE_FRIENDLY instances keep none.  Capacity is the user count, so
-    every re-solve is capacity-safe.
+    The ties make equal-valued pops common, within a user and across
+    users, so the merge's tie-breaks decide the order.  Capacity is the
+    user count, so every re-solve is capacity-safe.
     """
     rng = np.random.default_rng(seed)
     prices = rng.choice([10.0, 20.0], size=(6, 3))
@@ -118,25 +123,10 @@ def build_tied_instance(seed: int) -> RevMaxInstance:
     )
 
 
-def _tied_delta() -> InstanceDelta:
-    """Dirties user 0 only, so a tied instance re-solves by merge."""
-    return InstanceDelta(probability_updates={(0, 0): [0.6, 0.3, 0.6]})
-
-
-def _gated_instance(seed: int, *, resolved: bool = False) -> RevMaxInstance:
-    instance = build_tied_instance(seed)
-    if resolved:
-        apply_delta(instance, _tied_delta())
-    return instance
-
-
-def _gated_solver(seed: int, *, resolved: bool = False) -> IncrementalSolver:
-    """A solved tied instance, optionally re-solved once by merge."""
-    solver = IncrementalSolver(build_tied_instance(seed))
+def _behind_solver() -> IncrementalSolver:
+    solver = IncrementalSolver(build_behind_instance())
     solver.solve()
-    if resolved:
-        solver.resolve(_tied_delta())
-        assert solver.last_stats["mode"] == "merge"
+    assert solver.state().behind
     return solver
 
 
@@ -319,7 +309,8 @@ class TestApplyDelta:
 class TestIncrementalSolver:
     def test_cold_solve_matches_global_greedy(self, small_instance):
         solver = IncrementalSolver(small_instance)
-        strategy = solver.solve()
+        solver.solve()
+        strategy = solver.strategy
         reference, curve = cold_reference(build_random_instance(seed=42))
         assert sorted(strategy.triples()) == reference
         assert solver.growth_curve == curve
@@ -337,7 +328,8 @@ class TestIncrementalSolver:
             solver = IncrementalSolver(instance)
             solver.solve()
             delta = random_delta(instance, seed=seed)
-            strategy = solver.resolve(copy_delta(delta))
+            solver.resolve(copy_delta(delta))
+            strategy = solver.strategy
             modes.add(solver.last_stats["mode"])
 
             mutated = build_random_instance(seed=seed, **params)
@@ -385,10 +377,11 @@ class TestIncrementalSolver:
         for seed in range(4):
             instance = build_random_instance(seed=seed, **MERGE_FRIENDLY)
             solver = IncrementalSolver(instance)
-            first = sorted(solver.solve().triples())
+            solver.solve()
+            first = sorted(solver.strategy.triples())
             curve = list(solver.growth_curve)
-            again = solver.resolve()
-            assert sorted(again.triples()) == first
+            solver.resolve()
+            assert sorted(solver.strategy.triples()) == first
             assert solver.growth_curve == curve
 
     def test_chained_deltas(self):
@@ -413,7 +406,8 @@ class TestIncrementalSolver:
         instance = build_random_instance(seed=2, **MERGE_FRIENDLY)
         solver = IncrementalSolver(instance)
         delta = random_delta(instance, seed=2)
-        strategy = solver.resolve(copy_delta(delta))
+        solver.resolve(copy_delta(delta))
+        strategy = solver.strategy
         assert solver.last_stats["fallback_reason"] == "no warm state"
 
         mutated = build_random_instance(seed=2, **MERGE_FRIENDLY)
@@ -499,7 +493,8 @@ class TestIncrementalSolver:
         solver.solve()
         sneaky = random_delta(instance, seed=seed, with_new_users=False)
         apply_delta(instance, copy_delta(sneaky))  # behind the solver's back
-        strategy = solver.resolve()
+        solver.resolve()
+        strategy = solver.strategy
         assert solver.last_stats["fallback_reason"] == (
             "instance mutated outside the solver"
         )
@@ -514,16 +509,18 @@ class TestIncrementalSolver:
 # the dirty re-run: one joint pass of the cold loop
 # ----------------------------------------------------------------------
 class TestDirtyPass:
-    def test_joint_pass_decomposes_per_user(self):
+    def test_joint_pass_decomposes_per_user(self, monkeypatch):
         """One pass over a user set equals one ``users=[u]`` pass per user.
 
         On capacity-safe instances every score, freshness flag and display
         slot is per user, so a joint pass pops each user's candidates in
         that user's solo order and the replayability verdicts agree.  A
-        replayable pass yields exactly the solo sequences; an unreplayable
-        one (a non-positive break, which the solver answers with a cold
-        replay) stops every user's sequence at a prefix of its solo run.
+        replayable pass yields exactly the solo pops, admissions and merge
+        keys; an unreplayable one (a non-positive break, which the solver
+        answers with a cold replay) stops every user's pops at a prefix of
+        its solo run.
         """
+        monkeypatch.setattr(incremental, "SelectionTrace", PopLog)
         verdicts = []
         grid = itertools.product([0.1, 0.5, 0.9], [1, 2], [3, 4], [1.0, 3.0],
                                  range(8))
@@ -539,17 +536,19 @@ class TestDirtyPass:
             assert solver._capacity_safe(), case
             rng = np.random.default_rng(seed)
             users = sorted(rng.choice(12, size=6, replace=False).tolist())
-            events, replayable, trace, *_ = solver._traced_run(users)
-            assert sorted(events) == users, case
+            replayable, trace, *_ = solver._traced_run(users)
+            assert set(trace.pops) <= set(users), case
+            keyed = trace.keyed_admissions()
             solo_verdicts = []
             for user in users:
-                solo, verdict, solo_trace, *_ = solver._traced_run([user])
-                solo_verdicts.append(verdict)
-                joint_pops = trace.events.get(user, [])
-                solo_pops = solo_trace.events.get(user, [])
+                solo_verdict, solo_trace, *_ = solver._traced_run([user])
+                solo_verdicts.append(solo_verdict)
+                joint_pops = trace.pops.get(user, [])
+                solo_pops = solo_trace.pops.get(user, [])
                 if replayable:
-                    assert events[user] == solo[user], case
                     assert joint_pops == solo_pops, case
+                    assert keyed.get(user) == (
+                        solo_trace.keyed_admissions().get(user)), case
                 else:
                     assert joint_pops == solo_pops[:len(joint_pops)], case
             assert replayable == all(solo_verdicts), case
@@ -583,7 +582,8 @@ class TestDirtyPass:
         delta = InstanceDelta(probability_updates={
             pair: [0.9, 0.8, 0.7] for pair in picked
         })
-        strategy = solver.resolve(copy_delta(delta))
+        solver.resolve(copy_delta(delta))
+        strategy = solver.strategy
         assert solver.last_stats["mode"] == "merge"
         assert solver.last_stats["dirty_users"] == 3
         assert calls == {"columnar": 1, "object": 0}
@@ -641,8 +641,8 @@ class TestWarmState:
         assert twin.growth_curve == solver.growth_curve
 
     def test_saved_file_is_canonical_compact_json(self, tmp_path):
-        # The MERGE_FRIENDLY instances keep no gates; a tied one does.
-        solver = _gated_solver(seed=0, resolved=True)
+        # The MERGE_FRIENDLY instances record no behind entries.
+        solver = _behind_solver()
         state = solver.state()
         path = tmp_path / "state.json"
         repro_io.save_solver_state(state, path)
@@ -650,17 +650,20 @@ class TestWarmState:
         document = json.loads(text)
         assert text == json.dumps(document, sort_keys=True,
                                   separators=(",", ":"))
-        positions = [row[0] for rows in document["gates"].values()
-                     for row in rows]
-        assert positions and {type(position) for position in positions} == {
+        indices = [int(index) for index in document["behind"]]
+        assert indices and all(0 <= index < len(document["admits"])
+                               for index in indices)
+        assert {type(item) for _, item in document["behind"].values()} == {
             int}
-        assert min(positions) >= 0
         loaded = repro_io.load_solver_state(path)
         assert [row[3].hex() for row in loaded.admits] == [
             float(row[3]).hex() for row in state.admits
         ]
+        assert [key[0].hex() for key in loaded.behind.values()] == [
+            float(key[0]).hex() for key in state.behind.values()
+        ]
         assert loaded.admits == state.admits
-        assert loaded.gates == state.gates
+        assert loaded.behind == state.behind
 
     def test_lazy_views_after_from_state_match_cold(self):
         solver = self._solved()
@@ -673,8 +676,6 @@ class TestWarmState:
 
     def test_resolve_after_from_state_never_builds_pre_delta_strategy(
             self, tmp_path, monkeypatch):
-        from repro.dynamic import incremental
-
         solver = self._solved()
         path = tmp_path / "state.json"
         repro_io.save_solver_state(solver.state(), path)
@@ -690,7 +691,8 @@ class TestWarmState:
         twin = self._twin(loaded)
         instance = twin.instance
         delta = random_delta(instance, seed=self.SEED, with_new_users=False)
-        strategy = twin.resolve(copy_delta(delta))
+        twin.resolve(copy_delta(delta))
+        strategy = twin.strategy
         assert twin.last_stats["mode"] == "merge"
         post = twin.state().admits
         # The delta moved the plan, so a pre-delta build would show here.
@@ -704,21 +706,20 @@ class TestWarmState:
         assert twin.growth_curve == curve
 
     def test_states_are_detached_from_the_solver(self):
-        solver = _gated_solver(seed=0, resolved=True)
+        solver = _behind_solver()
         before = repro_io.solver_state_to_dict(solver.state())
         exported = solver.state()
-        assert exported.gates and all(isinstance(rows, tuple)
-                                      for rows in exported.gates.values())
+        assert exported.behind and all(isinstance(key, tuple)
+                                       for key in exported.behind.values())
         exported.admits.clear()
-        exported.gates.clear()
-        exported.complete = False
+        exported.behind.clear()
+        exported.complete = not exported.complete
         assert repro_io.solver_state_to_dict(solver.state()) == before
 
         imported = solver.state()
-        twin = IncrementalSolver.from_state(
-            _gated_instance(seed=0, resolved=True), imported)
+        twin = IncrementalSolver.from_state(build_behind_instance(), imported)
         imported.admits.reverse()
-        imported.gates.clear()
+        imported.behind.clear()
         assert repro_io.solver_state_to_dict(twin.state()) == before
         assert twin.strategy.triples() == solver.strategy.triples()
 
@@ -759,31 +760,47 @@ class _UserLocalRows:
     ``3 * blocks[user] + item``."""
 
     def __init__(self, blocks):
-        self.num_users = len(blocks)
         self._blocks = np.asarray(blocks, dtype=np.int64)
 
     def pair_rows(self, users, items):
         return 3 * self._blocks[users] + items
 
 
-def sort_merge(sequences, blocks=None):
-    """``IncrementalSolver._merge`` on the same sequences.
+def traced(sequences):
+    """Feed per-user pop sequences through a :class:`SelectionTrace`.
 
-    The admissions go in user-major order, last user first: the merge may
-    not rely on how users interleave in its input.  Every gate is passed.
+    Users go last first, so the admissions are user-major in reverse: the
+    merge may not rely on how users interleave in its input.
     """
-    admits = [(user, item, t, priority)
-              for user in reversed(range(len(sequences)))
-              for priority, item, t, admitted in sequences[user] if admitted]
-    gates = {
-        user: tuple((position, priority, item, t)
-                    for position, (priority, item, t, admitted)
-                    in enumerate(sequence) if not admitted)
-        for user, sequence in enumerate(sequences)
-    }
-    rows = _UserLocalRows(blocks or range(len(sequences)))
+    trace = SelectionTrace()
+    for user in reversed(range(len(sequences))):
+        for priority, item, t, admitted in sequences[user]:
+            if admitted:
+                trace.record_admit(Triple(user, item, t), priority)
+            else:
+                trace.record_gate(Triple(user, item, t), priority)
+    return trace
+
+
+def merged(admits, behind, blocks):
+    """``IncrementalSolver._merge`` over a stand-in compilation.
+
+    Also checks that the re-indexed ``behind`` keeps each key with its
+    admission.
+    """
+    rows = _UserLocalRows(blocks)
     solver = SimpleNamespace(_instance=SimpleNamespace(compiled=lambda: rows))
-    return IncrementalSolver._merge(solver, admits, gates)
+    order, moved = IncrementalSolver._merge(solver, admits, behind)
+    assert sorted((order[index], key) for index, key in moved.items()) == (
+        sorted((admits[index], key) for index, key in behind.items()))
+    return order
+
+
+def sort_merge(sequences, blocks=None):
+    """The traced admissions of ``sequences``, merged."""
+    trace = traced(sequences)
+    return merged(trace.admissions, trace.behind,
+                  blocks or range(len(sequences)))
 
 
 #: Few distinct values, so priorities tie within and across users; zero,
@@ -791,19 +808,21 @@ def sort_merge(sequences, blocks=None):
 _PRIORITIES = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.25, 1.0, 3.0])
 
 
+#: 0-8 ``(priority, item, t, admitted)`` events of one user, three items a
+#: user, so rows repeat within a sequence.
+_SEQUENCE = st.lists(st.tuples(_PRIORITIES, st.integers(0, 2),
+                               st.integers(0, 2), st.sampled_from([0, 1])),
+                     max_size=8)
+
+
 @st.composite
 def user_sequences(draw):
-    """1-6 users with 0-8 events each, and the users' row blocks.
+    """1-6 users' sequences, and the users' row blocks.
 
-    Three items a user, so rows repeat within a sequence.  The blocks are
-    shuffled: cross-user ties must break by row, not by user id.
+    The blocks are shuffled: cross-user ties must break by row, not by
+    user id.
     """
-    sequences = [
-        draw(st.lists(st.tuples(_PRIORITIES, st.integers(0, 2),
-                                st.integers(0, 2), st.sampled_from([0, 1])),
-                      max_size=8))
-        for _ in range(draw(st.integers(1, 6)))
-    ]
+    sequences = [draw(_SEQUENCE) for _ in range(draw(st.integers(1, 6)))]
     return sequences, draw(st.permutations(range(len(sequences))))
 
 
@@ -813,6 +832,21 @@ class TestSortMerge:
     def test_equals_heap_merge(self, case):
         sequences, blocks = case
         assert sort_merge(sequences, blocks) == heap_merge(sequences, blocks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(user_sequences(), st.data())
+    def test_spliced_resolve_equals_heap_merge(self, case, data):
+        """A re-solve's splice: dirty users' rows swapped for fresh ones."""
+        sequences, blocks = case
+        dirty = data.draw(st.sets(st.integers(0, len(sequences) - 1)))
+        fresh_sequences = [data.draw(_SEQUENCE) if user in dirty else []
+                           for user in range(len(sequences))]
+        old = traced(sequences)
+        admits, behind = incremental._spliced(
+            old.admissions, old.behind, dirty, traced(fresh_sequences))
+        current = [fresh_sequences[user] if user in dirty else sequence
+                   for user, sequence in enumerate(sequences)]
+        assert merged(admits, behind, blocks) == heap_merge(current, blocks)
 
     def test_upward_event_waits_behind_its_lower_gate(self):
         # User 0's gate at 1.0 hides its admission at 5.0, so user 1's 2.0
@@ -830,14 +864,14 @@ class TestSortMerge:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_gated_resolve_bit_identical_to_cold(self, seed):
-        """Tied instances keep many gates; the merge still equals cold."""
+        """Tied instances pop many equal keys; the merge still equals cold."""
         instance = build_tied_instance(seed)
         solver = IncrementalSolver(instance)
         solver.solve()
-        assert solver.state().gates
         delta = random_delta(instance, seed=seed, with_new_users=False)
         delta.capacity_updates.clear()
-        strategy = solver.resolve(copy_delta(delta))
+        solver.resolve(copy_delta(delta))
+        strategy = solver.strategy
         assert solver.last_stats["mode"] in ("merge", "replay")
 
         mutated = build_tied_instance(seed)
@@ -848,83 +882,49 @@ class TestSortMerge:
 
 
 # ----------------------------------------------------------------------
-# the older state layout: whole pop sequences under "events"
+# older state layouts: refused with one re-prime message
 # ----------------------------------------------------------------------
-def events_layout(document):
-    """Rewrite a state document in the older layout.
+def older_layout(document, layout):
+    """Rewrite a state document in an older layout.
 
-    That layout stored every user's compressed pop sequence, admissions
-    included, as ``[priority, item, t, admitted]`` rows under ``events``.
+    ``gates`` stored ``[position, priority, item, t]`` gate rows per user;
+    ``events`` stored each user's whole pop sequence as ``[priority, item,
+    t, admitted]`` rows.  Neither had ``behind``.
     """
-    admits = {}
-    for user, item, t, gain in document["admits"]:
-        admits.setdefault(user, []).append([gain, item, t, 1])
-    gates = {int(user): rows for user, rows in document.pop("gates").items()}
-    events = {}
-    for user in sorted(set(admits) | set(gates)):
-        sequence = list(admits.get(user, []))
-        for position, priority, item, t in gates.get(user, ()):
-            sequence.insert(position, [priority, item, t, 0])
-        events[str(user)] = sequence
-    document["events"] = events
+    del document["behind"]
+    user, item, t, gain = document["admits"][0]
+    document[layout] = {str(user): (
+        [[0, gain, item, t]] if layout == "gates" else [[gain, item, t, 1]])}
     return document
 
 
 class TestOlderStateLayout:
-    def _write(self, path, document):
-        with path.open("w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-
-    def test_events_file_warm_starts_and_resolves_bit_identically(
-            self, tmp_path):
-        solver = _gated_solver(seed=3)
-        state = solver.state()
-        path = tmp_path / "state.json"
-        self._write(path, events_layout(repro_io.solver_state_to_dict(state)))
-        loaded = repro_io.load_solver_state(path)
-        assert loaded.admits == state.admits
-        assert loaded.gates == state.gates
-
-        twin = IncrementalSolver.from_state(build_tied_instance(3), loaded)
-        solver.resolve(_tied_delta())
-        twin.resolve(_tied_delta())
-        assert twin.last_stats == solver.last_stats
-        assert twin.last_stats["mode"] == "merge"
-        assert twin.state().admits == solver.state().admits
-        assert twin.growth_curve == solver.growth_curve
-        reference, curve = cold_reference(_gated_instance(3, resolved=True))
-        assert sorted(twin.strategy.triples()) == reference
-        assert twin.growth_curve == curve
-
-    @pytest.mark.parametrize("damage", ["gain", "dropped", "extra"])
-    def test_events_disagreeing_with_admits_raise_naming_the_file(
-            self, tmp_path, damage):
-        document = events_layout(repro_io.solver_state_to_dict(
-            _gated_solver(seed=3).state()))
-        sequence = next(iter(document["events"].values()))
-        position = next(index for index, row in enumerate(sequence)
-                        if row[3])
-        if damage == "gain":
-            sequence[position][0] += 1.0
-        elif damage == "dropped":
-            del sequence[position]
-        else:
-            document["events"]["999"] = [[1.0, 0, 0, 1]]
-        path = tmp_path / "old-state.json"
-        self._write(path, document)
-        with pytest.raises(ValueError, match="old-state.json") as error:
+    def _load_error(self, path, document):
+        path.write_text(json.dumps(document, indent=2), encoding="utf-8")
+        with pytest.raises(ValueError) as error:
             repro_io.load_solver_state(path)
-        assert "admits" in str(error.value)
+        message = str(error.value)
+        assert message.startswith(f"{path}: ")
+        assert message.endswith("re-prime it with repro resolve --load "
+                                "plan.npz --save-state state.json")
+        return message
 
-    def test_misplaced_gate_positions_raise(self, tmp_path):
-        document = json.loads(json.dumps(repro_io.solver_state_to_dict(
-            _gated_solver(seed=3).state())))
-        rows = next(iter(document["gates"].values()))
-        rows[-1][0] = 10 ** 6
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
-        with pytest.raises(ValueError, match="gate positions"):
-            repro_io.load_solver_state(path)
+    @pytest.mark.parametrize("layout", ["gates", "events"])
+    def test_older_layout_rejected_naming_the_file(self, tmp_path, layout):
+        document = older_layout(repro_io.solver_state_to_dict(
+            _behind_solver().state()), layout)
+        message = self._load_error(tmp_path / "old-state.json", document)
+        assert "older layout" in message
+
+    @pytest.mark.parametrize("index", [-1, "admits"])
+    def test_behind_index_outside_admits_raises(self, tmp_path, index):
+        document = repro_io.solver_state_to_dict(_behind_solver().state())
+        key = next(iter(document["behind"].values()))
+        if index == "admits":
+            index = len(document["admits"])
+        document["behind"] = {str(index): key}
+        message = self._load_error(tmp_path / "state.json", document)
+        assert "'behind' index" in message
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,12 @@ from repro.core.selection import (
 from repro.core.strategy import Strategy
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_columnar
 
-from tests.conftest import build_random_instance
+from tests.conftest import (
+    PopLog,
+    build_behind_instance,
+    build_random_instance,
+    floors_of_pops,
+)
 
 
 def _random_strategy(instance, rng, size):
@@ -310,7 +315,7 @@ def _traced_run(instance, *, columnar, allowed_times=None, users=None,
     model = RevenueModel(selection_instance, backend=backend)
     true_model = (RevenueModel(source, backend=backend)
                   if ignore_saturation else None)
-    trace = SelectionTrace()
+    trace = PopLog()
     selector = LazyGreedySelector(
         source, model, ConstraintChecker(source), true_model=true_model,
         seed_priorities=SEED_ISOLATED, max_selections=max_selections,
@@ -324,7 +329,9 @@ def _traced_run(instance, *, columnar, allowed_times=None, users=None,
         "triples": sorted(strategy.triples()),
         "admissions": trace.admissions,
         "curve": curve,
-        "events": trace.events,
+        "pops": trace.pops,
+        "keyed": trace.keyed_admissions(),
+        "behind": trace.behind,
         "flags": {"truncated": trace.truncated, "capped": trace.capped,
                   "capacity_blocked": trace.capacity_blocked},
     }
@@ -341,8 +348,9 @@ def _synthetic(seed, **overrides):
 class TestColumnarLoopDifferential:
     """The row-keyed columnar loop against the object path, bit for bit.
 
-    Admissions (triples and float gains), growth curves and every
-    ``SelectionTrace`` event must be ``==``-equal, not approximately equal.
+    Admissions (triples and float gains), growth curves, every logged pop
+    and each admission's merge key must be ``==``-equal, not approximately
+    equal.
     """
 
     @pytest.fixture(autouse=True)
@@ -363,6 +371,8 @@ class TestColumnarLoopDifferential:
         assert runs >= 1 and self.columnar_runs == runs
         assert columnar == object_path
         assert columnar["admissions"]
+        assert columnar["behind"] == floors_of_pops(columnar["admissions"],
+                                                    columnar["pops"])
         return columnar
 
     @pytest.mark.parametrize("seed", range(3))
@@ -392,14 +402,14 @@ class TestColumnarLoopDifferential:
         run = self._assert_agree(_synthetic(4), users=users,
                                  allowed_times=allowed)
         assert {user for user, _, _, _ in run["admissions"]} <= users
-        assert set(run["events"]) <= users
+        assert set(run["pops"]) <= users
         if allowed is not None:
             assert {t for _, _, t, _ in run["admissions"]} <= allowed
 
     def test_empty_user_subset_admits_nothing(self):
         for columnar in (True, False):
             run = _traced_run(_synthetic(4), columnar=columnar, users=[])
-            assert run["admissions"] == [] and run["events"] == {}
+            assert run["admissions"] == [] and run["pops"] == {}
 
     @pytest.mark.parametrize("seed", range(2))
     def test_non_empty_initial_strategy(self, seed):
@@ -423,3 +433,7 @@ class TestColumnarLoopDifferential:
         run = self._assert_agree(_synthetic(6), max_selections=cap)
         assert len(run["admissions"]) == cap
         assert run["flags"]["capped"]
+
+    def test_admissions_behind_a_lower_pop(self):
+        run = self._assert_agree(build_behind_instance())
+        assert run["behind"] and run["flags"]["truncated"]
