@@ -394,7 +394,8 @@ def solver_state_from_dict(document: Dict) -> SolverState:
     if not document.get("signature"):
         raise _reprime("solver state carries no instance signature")
     if "behind" not in document:
-        raise _reprime("solver state has an older layout (no 'behind')")
+        raise _reprime("solver state has an older layout (no 'behind'), "
+                       "so its admits cannot be merged")
     admits = list(map(tuple, document["admits"]))
     behind = {int(index): tuple(key)
               for index, key in document["behind"].items()}

@@ -916,6 +916,24 @@ class TestOlderStateLayout:
         message = self._load_error(tmp_path / "old-state.json", document)
         assert "older layout" in message
 
+    @pytest.mark.parametrize("damage", ["gain", "dropped", "extra"])
+    def test_events_disagreeing_with_admits_raise_naming_the_file(
+            self, tmp_path, damage):
+        # An 'events' file is refused before its rows are read, so rows
+        # that disagree with 'admits' meet the same re-prime error.
+        document = older_layout(repro_io.solver_state_to_dict(
+            _behind_solver().state()), "events")
+        sequence = next(iter(document["events"].values()))
+        if damage == "gain":
+            sequence[0][0] += 1.0
+        elif damage == "dropped":
+            del sequence[0]
+        else:
+            document["events"]["999"] = [[1.0, 0, 0, 1]]
+        message = self._load_error(tmp_path / "old-state.json", document)
+        assert "older layout" in message
+        assert "admits" in message
+
     @pytest.mark.parametrize("index", [-1, "admits"])
     def test_behind_index_outside_admits_raises(self, tmp_path, index):
         document = repro_io.solver_state_to_dict(_behind_solver().state())
