@@ -16,9 +16,12 @@ that step's candidates, seeded with batched marginal revenues against the
 *full* strategy built so far, so recommendations fixed at other
 (earlier-processed) time steps are correctly accounted for.
 
-RL-Greedy's permutations are embarrassingly parallel: pass ``jobs=N`` to fan
-the per-permutation runs out across worker processes (the permutations are
-sampled up front in the parent, so results are identical for any job count).
+RL-Greedy evaluates its permutations through
+:func:`repro.experiments.parallel.run_permutations_parallel` for every job
+count: ``jobs=N`` fans the runs out across worker processes, ``None``/1 runs
+them in-process.  The permutations are sampled up front and each run comes
+back as its group-ordered triples, so the selected strategy is identical for
+any job count.
 """
 
 from __future__ import annotations
@@ -135,9 +138,9 @@ class RandomizedLocalGreedy(RevMaxAlgorithm):
         backend: revenue-engine backend ("numpy" / "python"); ``None`` means
             numpy.
         jobs: number of worker processes evaluating permutations (``None`` or
-            1: run serially in-process; ``0``: one per core, in-process on a
-            single core).  Permutations are sampled up front, so the
-            selected strategy is identical for every job count.
+            1: in-process; ``0``: one per core, in-process on a single
+            core).  Permutations are sampled up front, so the selected
+            strategy is identical for every job count.
     """
 
     name = "RL-Greedy"
@@ -171,77 +174,22 @@ class RandomizedLocalGreedy(RevMaxAlgorithm):
         return sorted(permutations)
 
     def build_strategy(self, instance: RevMaxInstance) -> Strategy:
-        orders = self._sample_permutations(instance.horizon)
-        # Same jobs convention as repro.parallel: None/1 serial, 0 per-core.
-        jobs = self.jobs
-        if jobs is not None and jobs != 1:
-            outcomes, evaluations, lookups = self._run_parallel(
-                instance, orders, jobs
-            )
-        else:
-            outcomes, evaluations, lookups = self._run_serial(instance, orders)
-
-        best: Optional[Tuple[float, Strategy, List[Tuple[int, float]], Tuple[int, ...]]] = None
-        for order, strategy, revenue, curve in outcomes:
-            if best is None or revenue > best[0]:
-                best = (revenue, strategy, curve, tuple(order))
-
-        self.last_evaluations = evaluations
-        self.last_lookups = lookups
-        self.last_extras = {
-            "num_permutations": self._num_permutations,
-            "best_order": best[3] if best is not None else (),
-            "jobs": default_jobs() if jobs == 0 else (jobs or 1),
-        }
-        if best is None:
-            self.last_growth_curve = []
-            return Strategy(instance.catalog)
-        self.last_growth_curve = list(best[2])
-        return best[1]
-
-    def _run_serial(self, instance: RevMaxInstance,
-                    orders: Sequence[Tuple[int, ...]]):
-        """Evaluate every permutation in-process.
-
-        The counters add each permutation's selection work to the scoring
-        of its strategy, exactly as the parallel path sums its workers'.
-        """
-        model = RevenueModel(instance, backend=self.backend)
-        runner = SequentialLocalGreedy(backend=self.backend)
-        outcomes = []
-        evaluations = lookups = 0
-        for order in orders:
-            strategy = runner.build_strategy(instance, time_order=order)
-            revenue = model.revenue(strategy)
-            outcomes.append(
-                (order, strategy, revenue, list(runner.last_growth_curve))
-            )
-            evaluations += runner.last_evaluations
-            lookups += runner.last_lookups
-        return (outcomes, evaluations + model.evaluations,
-                lookups + model.lookups)
-
-    def _run_parallel(self, instance: RevMaxInstance,
-                      orders: Sequence[Tuple[int, ...]], jobs: int):
-        """Fan the permutations out across worker processes.
-
-        Imported lazily: the parallel runner lives in the experiments layer
-        (it is experiment infrastructure, not algorithm logic), and the
-        experiments layer imports this module at load time.
-        """
+        # Imported lazily: repro.experiments imports this module (through
+        # the harness) while it loads.
         from repro.experiments.parallel import run_permutations_parallel
 
+        orders = self._sample_permutations(instance.horizon)
         runs = run_permutations_parallel(
-            instance, orders, backend=self.backend, jobs=jobs
+            instance, orders, backend=self.backend, jobs=self.jobs
         )
-        outcomes = []
-        evaluations = 0
-        lookups = 0
-        for order, run in zip(orders, runs):
-            strategy = Strategy(
-                instance.catalog, (Triple(*z) for z in run.triples)
-            )
-            outcomes.append((order, strategy, run.revenue, run.growth_curve))
-            evaluations += run.evaluations
-            lookups += run.lookups
-        return outcomes, evaluations, lookups
+        # max() keeps the first run among equal revenues.
+        best = max(runs, key=lambda run: run.revenue)
+        self.last_evaluations = sum(run.evaluations for run in runs)
+        self.last_lookups = sum(run.lookups for run in runs)
+        self.last_growth_curve = list(best.growth_curve)
+        self.last_extras = {
+            "num_permutations": self._num_permutations,
+            "best_order": best.order,
+            "jobs": default_jobs() if self.jobs == 0 else (self.jobs or 1),
+        }
+        return Strategy(instance.catalog, (Triple(*z) for z in best.triples))

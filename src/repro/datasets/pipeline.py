@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.compiled import CompiledInstance
 from repro.core.problem import RevMaxInstance
 from repro.datasets.capacities import sample_betas, sample_capacities
 from repro.datasets.schema import MarketDataset
@@ -101,19 +100,12 @@ def _fit_valuations(dataset: MarketDataset, prices: np.ndarray
 
 
 def run_pipeline(dataset: MarketDataset,
-                 config: Optional[PipelineConfig] = None,
-                 columnar: bool = False) -> PipelineResult:
+                 config: Optional[PipelineConfig] = None) -> PipelineResult:
     """Run the full §6.1 preprocessing pipeline on a dataset.
 
     Args:
         dataset: the source market dataset.
         config: pipeline knobs (defaults used when ``None``).
-        columnar: emit the instance in the columnar layout -- adoption
-            probabilities are written straight into the CSR tensors of a
-            :class:`~repro.core.compiled.CompiledInstance` and the returned
-            instance carries a read-only columnar adoption view, so the
-            per-pair dict is never materialized.  Probabilities are
-            bit-identical to the object layout.
     """
     config = config or PipelineConfig()
     rng = np.random.default_rng(config.seed)
@@ -157,36 +149,17 @@ def run_pipeline(dataset: MarketDataset,
         seed=config.seed,
     )
 
-    if columnar:
-        user_ptr, pair_item, pair_probs = estimator.build_csr(
-            candidates, prices, num_users=dataset.num_users
-        )
-        compiled = CompiledInstance(
-            num_users=dataset.num_users,
-            horizon=dataset.horizon,
-            display_limit=config.display_limit,
-            user_ptr=user_ptr,
-            pair_item=pair_item,
-            pair_probs=pair_probs,
-            prices=prices,
-            capacities=capacities,
-            betas=betas,
-            item_class=np.asarray(dataset.catalog.item_class, dtype=np.int64),
-            name=dataset.name,
-        )
-        instance = compiled.as_instance(catalog=dataset.catalog)
-    else:
-        instance = RevMaxInstance(
-            num_users=dataset.num_users,
-            catalog=dataset.catalog,
-            horizon=dataset.horizon,
-            display_limit=config.display_limit,
-            prices=prices,
-            capacities=capacities,
-            betas=betas,
-            adoption=estimator.build_table(candidates, prices),
-            name=dataset.name,
-        )
+    instance = RevMaxInstance(
+        num_users=dataset.num_users,
+        catalog=dataset.catalog,
+        horizon=dataset.horizon,
+        display_limit=config.display_limit,
+        prices=prices,
+        capacities=capacities,
+        betas=betas,
+        adoption=estimator.build_table(candidates, prices),
+        name=dataset.name,
+    )
     return PipelineResult(
         instance=instance,
         model=model,
@@ -198,7 +171,6 @@ def run_pipeline(dataset: MarketDataset,
 
 
 def build_instance(dataset: MarketDataset,
-                   config: Optional[PipelineConfig] = None,
-                   columnar: bool = False) -> RevMaxInstance:
+                   config: Optional[PipelineConfig] = None) -> RevMaxInstance:
     """Convenience wrapper returning only the REVMAX instance."""
-    return run_pipeline(dataset, config, columnar=columnar).instance
+    return run_pipeline(dataset, config).instance

@@ -1,8 +1,8 @@
 """Experiment harness, per-figure regeneration functions and reporting."""
 
-# NOTE: repro.experiments.parallel is deliberately NOT imported here --
-# the serial paths lazy-import it on first parallel use so that plain
-# harness imports never pay for the multiprocessing machinery.
+# NOTE: repro.experiments.parallel is deliberately NOT imported here, and
+# RandomizedLocalGreedy imports it lazily: importing it at load time would
+# cycle through this package -> harness -> algorithms.local_greedy.
 from repro.experiments.harness import (
     SCALES,
     ExperimentRecord,

@@ -28,6 +28,7 @@ from repro.core.problem import RevMaxInstance
 from repro.datasets.amazon_like import AmazonLikeConfig, generate_amazon_like
 from repro.datasets.epinions_like import EpinionsLikeConfig, generate_epinions_like
 from repro.datasets.pipeline import PipelineConfig, PipelineResult, run_pipeline
+from repro.parallel import parallel_map
 from repro.recsys.mf import MFConfig
 
 __all__ = [
@@ -164,9 +165,10 @@ def standard_algorithms(
             "python"; ``None`` means numpy).  Handy for
             benchmarking the engines against each other on identical suites.
         rl_jobs: worker processes for RL-Greedy's permutation fan-out
-            (``None``: serial; ``0``: one per core).  Leave unset when the
-            whole suite already runs under ``run_algorithms(jobs=...)`` --
-            nesting pools wins nothing.
+            (``None``: in-process; ``0``: one per core).  Leave unset when
+            the suite runs under ``run_algorithms(jobs=...)``: RL-Greedy
+            then already has a worker of its own, and a pool inside that
+            worker only competes with the suite's other workers.
     """
     suite: Dict[str, RevMaxAlgorithm] = {
         "GG": GlobalGreedy(backend=backend),
@@ -197,6 +199,11 @@ class ExperimentRecord:
     settings: Dict[str, object] = field(default_factory=dict)
 
 
+def _run_algorithm(instance: RevMaxInstance,
+                   algorithm: RevMaxAlgorithm) -> AlgorithmResult:
+    return algorithm.run(instance)
+
+
 def run_algorithms(instance: RevMaxInstance,
                    algorithms: Iterable[RevMaxAlgorithm],
                    settings: Optional[Dict[str, object]] = None,
@@ -209,23 +216,18 @@ def run_algorithms(instance: RevMaxInstance,
         algorithms: the solvers to run.
         settings: optional experiment settings merged into every result's
             extras (capacity distribution, beta, ... -- figure bookkeeping).
-        jobs: worker processes (``None``/1: serial in-process; ``0``: one
-            per core, in-process on a single core).  Parallel runs return
-            bit-identical revenues and strategies; see
-            :mod:`repro.experiments.parallel`.
+        jobs: worker processes, one solver per task (``None``/1:
+            in-process; ``0``: one per core, in-process on a single core).
+            Every job count returns bit-identical revenues and strategies.
+            Runtime fields measure each solver's own wall-clock, so they
+            stay meaningful even when the suite overlaps in time.
     """
-    if jobs is not None and jobs != 1:
-        # Imported lazily: the parallel runner is optional infrastructure
-        # and pulls in multiprocessing machinery the serial path never needs.
-        from repro.experiments.parallel import run_algorithms_parallel
-
-        return run_algorithms_parallel(instance, algorithms,
-                                       settings=settings, jobs=jobs)
     results: Dict[str, AlgorithmResult] = {}
-    for algorithm in algorithms:
-        results[algorithm.name] = algorithm.run(instance)
+    for result in parallel_map(_run_algorithm, algorithms, jobs,
+                               shared=instance):
         if settings:
-            results[algorithm.name].extras.update(settings)
+            result.extras.update(settings)
+        results[result.algorithm] = result
     return results
 
 

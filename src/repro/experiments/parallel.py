@@ -1,48 +1,30 @@
-"""Parallel experiment runners: RL-Greedy permutations and algorithm suites.
+"""RL-Greedy's permutation fan-out (Algorithm 2).
 
-Two fan-out points dominate the wall-clock of the paper's evaluation loops,
-and both are embarrassingly parallel:
+Each sampled time-step order is an independent SL-Greedy run; RL-Greedy
+keeps the best-revenue one.  :func:`run_permutations_parallel` evaluates
+the orders through :func:`repro.parallel.parallel_map` -- in-process or
+across worker processes, the same code either way -- and returns one
+:class:`PermutationRun` per order.  The orders are sampled up front by the
+caller, every run computes with its own ``RevenueModel`` and the arithmetic
+is deterministic, so revenues, strategies and summed counters are identical
+for every job count.
 
-* **RL-Greedy's permutations** (Algorithm 2): each sampled time-step order
-  is an independent SL-Greedy run; only the best-revenue strategy is kept.
-  :func:`run_permutations_parallel` evaluates the orders across worker
-  processes and returns per-order results the caller merges exactly like
-  the serial loop (orders are sampled up front by the caller, so results
-  are identical for every job count).
-* **The six-algorithm suite** of the figures:
-  :func:`run_algorithms_parallel` runs each solver in its own worker and
-  merges the :class:`~repro.algorithms.base.AlgorithmResult` objects into
-  the same name-keyed mapping -- and, via :func:`experiment_records`, into
-  the existing :class:`~repro.experiments.harness.ExperimentRecord` rows --
-  that the serial :func:`~repro.experiments.harness.run_algorithms`
-  produces.
-
-Workers receive the (large) instance once through the pool initializer, not
-once per task.  Every worker computes with its own ``RevenueModel``; the
-arithmetic is deterministic, so revenues agree bit-for-bit with the serial
-path, and the summed evaluation and lookup counters equal the serial
-run's.
+:class:`~repro.algorithms.local_greedy.RandomizedLocalGreedy` calls this
+module's ``parallel_map`` through the module attribute, which is where a
+tracer can wrap the fan-out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.algorithms.base import AlgorithmResult, RevMaxAlgorithm
+from repro.algorithms.local_greedy import SequentialLocalGreedy
 from repro.core.problem import RevMaxInstance
+from repro.core.revenue import RevenueModel
 from repro.parallel import parallel_map
 
-__all__ = [
-    "PermutationRun",
-    "run_permutations_parallel",
-    "run_algorithms_parallel",
-]
-
-
-#: Per-worker shared state installed by the pool initializers (with the
-#: ``fork`` start method this costs one pickle per worker, not per task).
-_WORKER_STATE: Dict[str, object] = {}
+__all__ = ["PermutationRun", "run_permutations_parallel"]
 
 
 @dataclass
@@ -51,12 +33,11 @@ class PermutationRun:
 
     Attributes:
         order: the time-step processing order that was evaluated.
-        revenue: revenue of the resulting strategy (computed in the worker,
-            bit-identical to the serial loop's score).
+        revenue: revenue of the resulting strategy.
         triples: the strategy's triples, listed group by group in admission
-            order so the parent can rebuild a :class:`Strategy` whose group
+            order so the caller can rebuild a :class:`Strategy` whose group
             lists -- and therefore every downstream kernel summation --
-            match the worker's exactly.
+            match the run's exactly.
         growth_curve: the run's ``(size, revenue)`` checkpoints.
         evaluations: kernel evaluations of the run: its selection plus the
             scoring of its strategy.
@@ -71,26 +52,17 @@ class PermutationRun:
     lookups: int
 
 
-def _init_permutation_worker(instance: RevMaxInstance,
-                             backend: Optional[str]) -> None:
-    _WORKER_STATE["instance"] = instance
-    _WORKER_STATE["backend"] = backend
-
-
-def _run_permutation(order: Tuple[int, ...]) -> PermutationRun:
-    # Imported here: workers under non-fork start methods import this module
-    # fresh, and the algorithms layer lazily imports this module in turn.
-    from repro.algorithms.local_greedy import SequentialLocalGreedy
-    from repro.core.revenue import RevenueModel
-
-    instance: RevMaxInstance = _WORKER_STATE["instance"]
-    backend: Optional[str] = _WORKER_STATE["backend"]
+def _run_permutation(
+    instance: RevMaxInstance,
+    task: Tuple[Tuple[int, ...], Optional[str]],
+) -> PermutationRun:
+    order, backend = task
     runner = SequentialLocalGreedy(backend=backend)
     strategy = runner.build_strategy(instance, time_order=list(order))
     model = RevenueModel(instance, backend=backend)
     revenue = model.revenue(strategy)
     return PermutationRun(
-        order=tuple(order),
+        order=order,
         revenue=revenue,
         triples=[tuple(z) for _, group in strategy.groups() for z in group],
         growth_curve=list(runner.last_growth_curve),
@@ -108,9 +80,9 @@ def run_permutations_parallel(
     """Evaluate SL-Greedy under every permutation, fanned out over workers.
 
     Args:
-        instance: the REVMAX instance (shipped to each worker once).
+        instance: the REVMAX instance (sent to each worker once).
         orders: time-step permutations, sampled by the caller (seed-stable).
-        backend: revenue-engine backend for the workers.
+        backend: revenue-engine backend of every run.
         jobs: worker count (``None``/1: in-process; 0: one per core).
 
     Returns:
@@ -118,49 +90,7 @@ def run_permutations_parallel(
     """
     return parallel_map(
         _run_permutation,
-        [tuple(order) for order in orders],
+        [(tuple(order), backend) for order in orders],
         jobs=jobs,
-        initializer=_init_permutation_worker,
-        initargs=(instance, backend),
+        shared=instance,
     )
-
-
-def _init_suite_worker(instance: RevMaxInstance) -> None:
-    _WORKER_STATE["instance"] = instance
-
-
-def _run_suite_algorithm(algorithm: RevMaxAlgorithm) -> AlgorithmResult:
-    instance: RevMaxInstance = _WORKER_STATE["instance"]
-    return algorithm.run(instance)
-
-
-def run_algorithms_parallel(
-    instance: RevMaxInstance,
-    algorithms: Iterable[RevMaxAlgorithm],
-    settings: Optional[Dict[str, object]] = None,
-    jobs: Optional[int] = None,
-) -> Dict[str, AlgorithmResult]:
-    """Parallel drop-in for :func:`repro.experiments.harness.run_algorithms`.
-
-    Each algorithm solves the instance in its own worker process; results
-    come back keyed by algorithm name in the same order -- and with
-    bit-identical revenues -- as the serial loop.  Runtime fields measure
-    the worker's wall-clock, so they remain meaningful per algorithm even
-    though the suite overlaps in time.
-    """
-    algorithms = list(algorithms)
-    results: Dict[str, AlgorithmResult] = {}
-    for algorithm, result in zip(
-        algorithms,
-        parallel_map(
-            _run_suite_algorithm,
-            algorithms,
-            jobs=jobs,
-            initializer=_init_suite_worker,
-            initargs=(instance,),
-        ),
-    ):
-        if settings:
-            result.extras.update(settings)
-        results[result.algorithm] = result
-    return results

@@ -1,8 +1,7 @@
-"""Process-pool utilities shared by the parallel experiment runners.
+"""Process-pool fan-out: the one parallel path of the experiment layer.
 
 A deliberately small wrapper around :class:`concurrent.futures.\
-ProcessPoolExecutor` with the conventions every parallel path in this repo
-follows:
+ProcessPoolExecutor` with the conventions every caller relies on:
 
 * **order-preserving**: results come back in item order, so callers can zip
   them with their inputs and merge deterministically;
@@ -12,13 +11,16 @@ follows:
 * **fork-first**: on platforms that support it the ``fork`` start method is
   used, so workers inherit ``sys.path`` and module state (the repo's
   ``src``-layout import shim keeps working without installation);
-* **in-process fallback**: ``jobs <= 1`` (or a single item) runs the plain
-  loop, keeping the parallel code path trivially debuggable.  ``jobs=0``
-  means one worker per core, so it too runs in-process on a single core.
+* **one path for every job count**: ``function(shared, item)`` is called
+  for every item whether it runs in a worker or in-process.  ``jobs <= 1``
+  (or a single item) runs the plain loop in the caller's process;
+  ``jobs=0`` means one worker per core, so it too runs in-process on a
+  single core.
 
-Heavy shared inputs (a :class:`~repro.core.problem.RevMaxInstance`, say)
-should travel once per worker through ``initializer`` / ``initargs`` rather
-than once per item through the mapped function's arguments.
+``shared`` carries the heavy input every call needs (a
+:class:`~repro.core.problem.RevMaxInstance`, say).  It reaches each worker
+once, through the pool initializer, rather than once per item; in-process
+it is passed straight through, so nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -26,12 +28,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Iterable, List, Optional, TypeVar
 
 __all__ = ["default_jobs", "parallel_map", "pool_context"]
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+#: ``(function, shared)`` of the pool this worker process serves; set by
+#: the pool initializer, so it only ever holds a value inside a worker.
+_worker_task: Optional[tuple] = None
 
 
 def default_jobs() -> int:
@@ -47,41 +53,45 @@ def pool_context():
     return multiprocessing.get_context()
 
 
+def _init_worker(function: Callable, shared: Any) -> None:
+    global _worker_task
+    _worker_task = (function, shared)
+
+
+def _call_in_worker(item):
+    function, shared = _worker_task
+    return function(shared, item)
+
+
 def parallel_map(
-    function: Callable[[_T], _R],
+    function: Callable[[Any, _T], _R],
     items: Iterable[_T],
     jobs: Optional[int] = None,
     *,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple = (),
+    shared: Any = None,
 ) -> List[_R]:
-    """Map ``function`` over ``items`` across worker processes, in order.
+    """Map ``function(shared, item)`` over ``items`` across workers, in order.
 
     Args:
-        function: top-level (picklable) function applied to every item.
+        function: top-level (picklable) function of ``(shared, item)``.
         items: the inputs; consumed eagerly.
         jobs: worker-process count.  ``None`` or ``1`` runs in-process;
             ``0`` means one worker per CPU core.
-        initializer: optional per-worker setup (receives ``initargs``); also
-            invoked once, in-process, on the serial fallback so the function
-            finds the same state either way.
-        initargs: arguments for ``initializer``.
+        shared: the argument every call receives first; sent to each
+            worker once.
 
     Returns:
-        ``[function(item) for item in items]``, in item order.
+        ``[function(shared, item) for item in items]``, in item order.
     """
     items = list(items)
     if jobs == 0:
         jobs = default_jobs()
     if jobs is None or jobs <= 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
-        return [function(item) for item in items]
-    workers = min(jobs, len(items))
+        return [function(shared, item) for item in items]
     with ProcessPoolExecutor(
-        max_workers=workers,
+        max_workers=min(jobs, len(items)),
         mp_context=pool_context(),
-        initializer=initializer,
-        initargs=initargs,
+        initializer=_init_worker,
+        initargs=(function, shared),
     ) as pool:
-        return list(pool.map(function, items))
+        return list(pool.map(_call_in_worker, items))

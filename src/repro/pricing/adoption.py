@@ -93,66 +93,3 @@ class AdoptionEstimator:
                 if any(v > 0.0 for v in vector):
                     table.set(user, candidate.item, vector)
         return table
-
-    def build_csr(
-        self,
-        candidates: Mapping[int, Sequence[Candidate]],
-        prices: np.ndarray,
-        num_users: int,
-    ):
-        """Columnar equivalent of :meth:`build_table`: CSR arrays, no dict.
-
-        Per-item acceptance rows ``Pr[val >= p(i, t)]`` are evaluated once
-        per candidate item; the (pair, t) probability matrix is then one
-        broadcasted product with the per-pair interest factors, thresholded
-        and clamped exactly as the scalar :meth:`probability` does, so every
-        stored value is bit-identical to the dict path.  All-zero pairs are
-        dropped, mirroring ``build_table``.
-
-        Returns:
-            ``(user_ptr, pair_item, pair_probs)`` ready for
-            :class:`~repro.core.compiled.CompiledInstance`.
-        """
-        if self.max_rating <= 0:
-            raise ValueError("max_rating must be positive")
-        prices = np.asarray(prices, dtype=float)
-        horizon = prices.shape[1]
-        # Keyed per (user, item) so repeated candidates overwrite like
-        # build_table's table.set (last write wins).
-        entries: dict = {}
-        for user, user_candidates in candidates.items():
-            for candidate in user_candidates:
-                if self.valuations.get(candidate.item) is None:
-                    continue
-                entries[(user, candidate.item)] = min(1.0, max(
-                    0.0, candidate.predicted_rating / self.max_rating
-                ))
-        n = len(entries)
-        pair_user = np.fromiter((k[0] for k in entries), np.int64, count=n)
-        pair_item = np.fromiter((k[1] for k in entries), np.int64, count=n)
-        interest = np.fromiter(entries.values(), np.float64, count=n)
-        # One acceptance row per distinct item (the valuation models are
-        # scalar), then a single vectorized gather out to the pairs.
-        unique_items, inverse = np.unique(pair_item, return_inverse=True)
-        acceptance_by_item = np.array([
-            [self.valuations[int(item)].acceptance_probability(
-                float(prices[item, t]))
-             for t in range(horizon)]
-            for item in unique_items
-        ]).reshape(unique_items.shape[0], horizon)
-        acceptance = acceptance_by_item[inverse]
-        probs = acceptance * interest[:, None]
-        probs = np.where(probs < self.min_probability, 0.0,
-                         np.minimum(1.0, probs))
-        keep = (probs > 0.0).any(axis=1)
-        pair_user, pair_item, probs = (
-            pair_user[keep], pair_item[keep], probs[keep]
-        )
-        order = np.lexsort((pair_item, pair_user))
-        pair_user, pair_item, probs = (
-            pair_user[order], pair_item[order], probs[order]
-        )
-        user_ptr = np.zeros(num_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pair_user, minlength=num_users),
-                  out=user_ptr[1:])
-        return user_ptr, pair_item, probs

@@ -646,57 +646,6 @@ class TestColumnarGenerators:
         result = GlobalGreedy().run(instance)
         assert result.revenue > 0
 
-    def test_build_csr_deduplicates_like_build_table(self):
-        from repro.pricing.adoption import AdoptionEstimator
-        from repro.pricing.valuation import GaussianValuation
-        from repro.recsys.topk import Candidate
-
-        estimator = AdoptionEstimator(
-            valuations={0: GaussianValuation(50.0, 10.0),
-                        1: GaussianValuation(40.0, 5.0)},
-            max_rating=5.0,
-        )
-        prices = np.array([[45.0, 50.0], [30.0, 35.0]])
-        # Duplicate (user, item) candidate: build_table's last write wins.
-        candidates = {0: [Candidate(0, 0, 4.0), Candidate(0, 0, 2.0),
-                          Candidate(0, 1, 3.0)]}
-        table = estimator.build_table(candidates, prices)
-        user_ptr, pair_item, pair_probs = estimator.build_csr(
-            candidates, prices, num_users=1
-        )
-        assert pair_item.tolist() == [0, 1]
-        assert user_ptr.tolist() == [0, 2]
-        for row, item in enumerate(pair_item.tolist()):
-            assert np.array_equal(pair_probs[row], table.get(0, item))
-
-    def test_pipeline_columnar_bit_identical(self):
-        from repro.datasets.amazon_like import (
-            AmazonLikeConfig, generate_amazon_like,
-        )
-        from repro.datasets.pipeline import PipelineConfig, run_pipeline
-        from repro.recsys.mf import MFConfig
-
-        dataset = generate_amazon_like(
-            AmazonLikeConfig(num_users=40, num_items=20, seed=11)
-        )
-        config = PipelineConfig(
-            num_candidates=6,
-            mf_config=MFConfig(num_factors=4, num_epochs=3, seed=1),
-            seed=1,
-        )
-        object_instance = run_pipeline(dataset, config).instance
-        columnar_instance = run_pipeline(dataset, config, columnar=True).instance
-        assert isinstance(columnar_instance.adoption, ColumnarAdoptionTable)
-        a = object_instance.compiled()
-        b = columnar_instance.compiled()
-        assert np.array_equal(a.user_ptr, b.user_ptr)
-        assert np.array_equal(a.pair_item, b.pair_item)
-        assert np.array_equal(a.pair_probs, b.pair_probs)
-        ra = GlobalGreedy().run(object_instance)
-        rb = GlobalGreedy().run(columnar_instance)
-        assert ra.revenue == rb.revenue
-        assert ra.strategy.triples() == rb.strategy.triples()
-
 
 class TestPairRowLookup:
     """The scalar bisection lookup agrees with the vectorized one."""

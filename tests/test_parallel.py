@@ -8,15 +8,19 @@ and the per-run arithmetic is deterministic.
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import pytest
 
+from repro.algorithms.global_greedy import GlobalGreedy
 from repro.algorithms.local_greedy import (
     RandomizedLocalGreedy,
     SequentialLocalGreedy,
 )
 from repro.experiments import harness
+from repro.experiments import parallel as experiments_parallel
 from repro.experiments.harness import (
     experiment_records,
     prepare_dataset,
@@ -25,24 +29,18 @@ from repro.experiments.harness import (
 )
 from repro.experiments.parallel import run_permutations_parallel
 from repro.parallel import parallel_map
+from tests.conftest import build_random_instance
 
 
-def _square(value):
+def _square(_shared, value):
     return value * value
 
 
-_STATE = {}
+def _offset_square(offset, value):
+    return value * value + offset
 
 
-def _setup(offset):
-    _STATE["offset"] = offset
-
-
-def _offset_square(value):
-    return value * value + _STATE["offset"]
-
-
-def _pid(_value):
+def _pid(_shared, _value):
     return os.getpid()
 
 
@@ -59,13 +57,13 @@ class TestParallelMap:
     def test_jobs_zero_uses_all_cores(self):
         assert parallel_map(_square, [1, 2, 3], jobs=0) == [1, 4, 9]
 
-    def test_initializer_runs_in_workers_and_serially(self):
+    def test_shared_reaches_workers_and_serial_path(self):
         items = [1, 2, 3]
         expected = [i * i + 10 for i in items]
         assert parallel_map(_offset_square, items, jobs=2,
-                            initializer=_setup, initargs=(10,)) == expected
+                            shared=10) == expected
         assert parallel_map(_offset_square, items, jobs=1,
-                            initializer=_setup, initargs=(10,)) == expected
+                            shared=10) == expected
 
     def test_empty_items(self):
         assert parallel_map(_square, [], jobs=4) == []
@@ -189,6 +187,43 @@ class TestParallelSuite:
             r.strategy_size for r in serial
         ]
         assert all(r.settings == settings for r in parallel)
+
+
+class TestOnePath:
+    """Every job count runs the same fan-out and keeps nothing afterwards."""
+
+    @pytest.mark.parametrize("jobs", [None, 1, 2])
+    def test_rl_greedy_calls_parallel_map_once(self, monkeypatch, jobs,
+                                               tiny_amazon_pipeline):
+        # RL-Greedy's fan-out goes through this module attribute for every
+        # job count; it is also where the benchmark tracer hooks in.
+        calls = []
+        original = experiments_parallel.parallel_map
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("jobs"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments_parallel, "parallel_map", counting)
+        RandomizedLocalGreedy(num_permutations=3, seed=0,
+                              jobs=jobs).build_strategy(
+            tiny_amazon_pipeline.instance)
+        assert calls == [jobs]
+
+    @pytest.mark.parametrize("run", [
+        lambda instance: RandomizedLocalGreedy(
+            num_permutations=1, seed=0, jobs=2).build_strategy(instance),
+        lambda instance: run_algorithms(instance, [GlobalGreedy()], jobs=2),
+    ], ids=["rl-greedy", "run-algorithms"])
+    def test_instance_is_released_after_the_call(self, run):
+        # One task with jobs=2 runs in-process; the instance must not be
+        # parked in any module once the call returns.
+        instance = build_random_instance(seed=7)
+        run(instance)
+        alive = weakref.ref(instance)
+        del instance
+        gc.collect()
+        assert alive() is None
 
 
 class TestDatasetCache:
