@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.constraints import ConstraintChecker
+from repro.core.entities import Triple
 from repro.core.problem import RevMaxInstance
 from repro.core.revenue import RevenueModel
 from repro.core.strategy import Strategy
@@ -27,6 +28,7 @@ from repro.algorithms.global_greedy import GlobalGreedy
 from repro.algorithms.local_greedy import (
     RandomizedLocalGreedy,
     greedy_single_step,
+    step_candidates,
 )
 
 __all__ = ["split_horizon", "SubHorizonWrapper"]
@@ -78,6 +80,10 @@ class SubHorizonWrapper(RevMaxAlgorithm):
         strategy = Strategy(instance.catalog)
         model = RevenueModel(instance, backend=self.backend)
         checker = ConstraintChecker(instance)
+        buckets = (
+            None if isinstance(self._base, GlobalGreedy)
+            else step_candidates(instance)
+        )
 
         for steps in sub_horizons:
             if isinstance(self._base, GlobalGreedy):
@@ -86,12 +92,13 @@ class SubHorizonWrapper(RevMaxAlgorithm):
                 )
             elif isinstance(self._base, RandomizedLocalGreedy):
                 strategy = self._best_permutation_over_steps(
-                    instance, model, checker, strategy, steps
+                    instance, model, checker, strategy, steps, buckets
                 )
             else:
                 # Sequential (chronological) processing of the sub-horizon.
                 for time_step in steps:
-                    greedy_single_step(instance, model, checker, strategy, time_step)
+                    greedy_single_step(instance, model, checker, strategy,
+                                       buckets[time_step])
 
         self.last_extras = {
             "cutoffs": list(self._cutoffs),
@@ -106,6 +113,7 @@ class SubHorizonWrapper(RevMaxAlgorithm):
         checker: ConstraintChecker,
         strategy: Strategy,
         steps: Sequence[int],
+        buckets: List[List[Triple]],
     ) -> Strategy:
         """RL-Greedy restricted to a sub-horizon: best permutation of its steps."""
         import itertools
@@ -130,7 +138,8 @@ class SubHorizonWrapper(RevMaxAlgorithm):
         for order in orders:
             candidate = strategy.copy()
             for time_step in order:
-                greedy_single_step(instance, model, checker, candidate, time_step)
+                greedy_single_step(instance, model, checker, candidate,
+                                   buckets[time_step])
             revenue = model.revenue(candidate)
             if revenue > best_revenue:
                 best_revenue = revenue

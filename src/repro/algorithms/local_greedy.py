@@ -14,7 +14,9 @@ Within a single time step the selection is the same lazy-forward greedy used
 globally -- :class:`repro.core.selection.LazyGreedySelector` restricted to
 that step's candidates, seeded with batched marginal revenues against the
 *full* strategy built so far, so recommendations fixed at other
-(earlier-processed) time steps are correctly accounted for.
+(earlier-processed) time steps are correctly accounted for.  Each build
+scans the candidate ground set once (:func:`step_candidates`) and hands
+every step its own bucket, instead of rescanning the ground set per step.
 
 RL-Greedy evaluates its permutations through
 :func:`repro.experiments.parallel.run_permutations_parallel` for every job
@@ -41,7 +43,22 @@ from repro.core.strategy import Strategy
 from repro.parallel import default_jobs
 from repro.algorithms.base import RevMaxAlgorithm
 
-__all__ = ["SequentialLocalGreedy", "RandomizedLocalGreedy", "greedy_single_step"]
+__all__ = [
+    "SequentialLocalGreedy", "RandomizedLocalGreedy", "greedy_single_step",
+    "step_candidates",
+]
+
+
+def step_candidates(instance: RevMaxInstance) -> List[List[Triple]]:
+    """The instance's candidate triples bucketed by time step.
+
+    One pass over :meth:`RevMaxInstance.candidate_triples`; each bucket keeps
+    the canonical candidate order, which fixes the flat heap's tie-breaks.
+    """
+    buckets: List[List[Triple]] = [[] for _ in range(instance.horizon)]
+    for triple in instance.candidate_triples():
+        buckets[triple.t].append(triple)
+    return buckets
 
 
 def greedy_single_step(
@@ -49,11 +66,11 @@ def greedy_single_step(
     model: RevenueModel,
     checker: ConstraintChecker,
     strategy: Strategy,
-    time_step: int,
+    candidates: Sequence[Triple],
     growth_curve: Optional[List[Tuple[int, float]]] = None,
     true_model: Optional[RevenueModel] = None,
 ) -> None:
-    """Greedily add this time step's triples to ``strategy`` (in place).
+    """Greedily add one time step's triples to ``strategy`` (in place).
 
     Implements lines 5-15 of Algorithm 2 through the shared selection engine:
     a flat max-heap over the step's candidate triples is seeded with their
@@ -66,7 +83,8 @@ def greedy_single_step(
         model: revenue model used for selection decisions.
         checker: constraint checker enforcing validity.
         strategy: the strategy built so far; modified in place.
-        time_step: the time step whose recommendations are being finalised.
+        candidates: the candidate triples of the time step being finalised,
+            in canonical order -- one bucket of :func:`step_candidates`.
         growth_curve: optional list receiving ``(size, revenue)`` checkpoints.
         true_model: model used for the growth-curve revenue (defaults to
             ``model``).
@@ -76,10 +94,6 @@ def greedy_single_step(
         true_model=true_model,
         use_two_level_heap=False,
         seed_priorities=SEED_MARGINAL,
-    )
-    candidates = (
-        triple for triple in instance.candidate_triples()
-        if triple.t == time_step
     )
     selector.select(strategy, candidates, growth_curve=growth_curve)
 
@@ -107,19 +121,29 @@ class SequentialLocalGreedy(RevMaxAlgorithm):
 
         Args:
             instance: the REVMAX instance.
-            time_order: explicit processing order of the time steps; defaults
-                to chronological order (which is what SL-Greedy does).
+            time_order: explicit processing order of the time steps, a
+                permutation of ``range(instance.horizon)``; defaults to
+                chronological order (which is what SL-Greedy does).
+
+        Raises:
+            ValueError: if ``time_order`` is not a permutation of the steps.
         """
+        steps = list(range(instance.horizon))
+        order = steps if time_order is None else list(time_order)
+        if sorted(order) != steps:
+            raise ValueError(
+                f"time_order must be a permutation of range({instance.horizon})"
+                f", got {order!r}"
+            )
         model = RevenueModel(instance, backend=self.backend)
         checker = ConstraintChecker(instance)
         strategy = Strategy(instance.catalog)
         growth_curve: List[Tuple[int, float]] = []
-        order = list(time_order) if time_order is not None else list(
-            range(instance.horizon)
-        )
+        buckets = step_candidates(instance)
         for time_step in order:
             greedy_single_step(
-                instance, model, checker, strategy, time_step, growth_curve
+                instance, model, checker, strategy, buckets[time_step],
+                growth_curve,
             )
         self.last_growth_curve = growth_curve
         self.last_evaluations = model.evaluations

@@ -1,4 +1,4 @@
-"""An addressable maximum binary heap.
+"""An addressable maximum heap on the C-level ``heapq`` operations.
 
 The greedy algorithms of the paper repeatedly need to
 
@@ -8,10 +8,16 @@ The greedy algorithms of the paper repeatedly need to
   increase when stale lazy-forward values are refreshed), and
 * remove arbitrary entries once a constraint rules them out.
 
-The standard library ``heapq`` module supports none of these operations
-directly, so this module implements a classic array-backed binary heap with a
-position index (``key -> slot``) that makes every entry addressable in
-``O(1)`` and updatable in ``O(log n)``.
+The standard library ``heapq`` module supports none of the last two
+directly, so this module layers *lazy deletion* over it.  The heap list
+holds ``(-priority, insertion_order, key)`` tuples, and a ``key -> entry``
+dict holds each key's live tuple; a tuple in the list is live exactly
+while the dict maps its key to that very tuple.  An update pushes a new
+tuple (keeping the key's insertion order) and a delete only drops the dict
+entry; ``peek``/``pop`` skip dead tuples at the top.  Every sift is a C-level
+``heappush``/``heappop``, and one ``heapify`` over the live tuples compacts
+the list whenever it grows past :data:`_SLACK` times the live entries, so
+dead tuples cannot grow memory without bound.
 
 Ties between equal priorities are broken by insertion order (older entries
 first) so that all algorithms built on top of the heap are deterministic.
@@ -19,39 +25,20 @@ first) so that all algorithms built on top of the heap are deterministic.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, List, Optional, Tuple
+import heapq
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 __all__ = ["AddressableMaxHeap"]
 
+#: The heap list is compacted once it holds more than ``_SLACK * live + 1``
+#: tuples.
+_SLACK = 2
 
-class _Entry:
-    """A single heap entry.
-
-    Attributes:
-        key: hashable identifier of the entry (unique within the heap).
-        priority: the value the heap orders by (larger is better).
-        order: insertion sequence number used for deterministic tie-breaks.
-    """
-
-    __slots__ = ("key", "priority", "order")
-
-    def __init__(self, key: Hashable, priority: float, order: int) -> None:
-        self.key = key
-        self.priority = priority
-        self.order = order
-
-    def beats(self, other: "_Entry") -> bool:
-        """Return True if this entry should sit above ``other`` in the heap."""
-        if self.priority != other.priority:
-            return self.priority > other.priority
-        return self.order < other.order
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"_Entry(key={self.key!r}, priority={self.priority!r})"
+_Entry = Tuple[float, int, Hashable]
 
 
 class AddressableMaxHeap:
-    """Array-backed max-heap with O(1) lookup of entries by key.
+    """Max-heap with O(1) lookup of entries by key and lazy deletion.
 
     Example:
         >>> heap = AddressableMaxHeap()
@@ -65,29 +52,29 @@ class AddressableMaxHeap:
     """
 
     def __init__(self) -> None:
-        self._slots: List[_Entry] = []
-        self._positions: dict = {}
+        self._heap: List[_Entry] = []
+        self._entries: Dict[Hashable, _Entry] = {}
         self._counter = 0
 
     # ------------------------------------------------------------------
     # basic container protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return bool(self._slots)
+        return bool(self._entries)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._positions
+        return key in self._entries
 
     def __iter__(self) -> Iterator[Hashable]:
-        """Iterate over keys in arbitrary (heap array) order."""
-        return iter(list(self._positions.keys()))
+        """Iterate over keys in arbitrary order."""
+        return iter(list(self._entries))
 
     def keys(self) -> List[Hashable]:
         """Return all keys currently stored, in arbitrary order."""
-        return list(self._positions.keys())
+        return list(self._entries)
 
     # ------------------------------------------------------------------
     # core operations
@@ -98,18 +85,16 @@ class AddressableMaxHeap:
         Raises:
             KeyError: if ``key`` is already present (use :meth:`update`).
         """
-        if key in self._positions:
+        if key in self._entries:
             raise KeyError(f"key already present in heap: {key!r}")
-        entry = _Entry(key, float(priority), self._counter)
+        entry = (-float(priority), self._counter, key)
         self._counter += 1
-        self._slots.append(entry)
-        index = len(self._slots) - 1
-        self._positions[key] = index
-        self._sift_up(index)
+        self._entries[key] = entry
+        heapq.heappush(self._heap, entry)
 
     def push(self, key: Hashable, priority: float) -> None:
         """Insert ``key`` or update its priority if already present."""
-        if key in self._positions:
+        if key in self._entries:
             self.update(key, priority)
         else:
             self.insert(key, priority)
@@ -120,10 +105,10 @@ class AddressableMaxHeap:
         Raises:
             IndexError: if the heap is empty.
         """
-        if not self._slots:
+        if not self._entries:
             raise IndexError("peek from an empty heap")
-        top = self._slots[0]
-        return top.key, top.priority
+        top = self._live_top()
+        return top[2], -top[0]
 
     def pop(self) -> Tuple[Hashable, float]:
         """Remove and return ``(key, priority)`` of the maximum entry.
@@ -131,22 +116,22 @@ class AddressableMaxHeap:
         Raises:
             IndexError: if the heap is empty.
         """
-        if not self._slots:
+        if not self._entries:
             raise IndexError("pop from an empty heap")
-        top = self._slots[0]
-        self._remove_at(0)
-        return top.key, top.priority
+        top = self._live_top()
+        heapq.heappop(self._heap)
+        del self._entries[top[2]]
+        self._compact_if_sparse()
+        return top[2], -top[0]
 
     def priority(self, key: Hashable) -> float:
         """Return the current priority associated with ``key``."""
-        index = self._positions[key]
-        return self._slots[index].priority
+        return -self._entries[key][0]
 
     def get(self, key: Hashable, default: Optional[float] = None) -> Optional[float]:
         """Return the priority of ``key`` or ``default`` if absent."""
-        if key not in self._positions:
-            return default
-        return self.priority(key)
+        entry = self._entries.get(key)
+        return default if entry is None else -entry[0]
 
     def update(self, key: Hashable, priority: float) -> None:
         """Change the priority of an existing entry (up or down).
@@ -154,14 +139,11 @@ class AddressableMaxHeap:
         Raises:
             KeyError: if ``key`` is not in the heap.
         """
-        index = self._positions[key]
-        entry = self._slots[index]
-        old = entry.priority
-        entry.priority = float(priority)
-        if entry.priority > old:
-            self._sift_up(index)
-        elif entry.priority < old:
-            self._sift_down(index)
+        _, order, stored = self._entries[key]
+        entry = (-float(priority), order, stored)
+        self._entries[key] = entry
+        heapq.heappush(self._heap, entry)
+        self._compact_if_sparse()
 
     def delete(self, key: Hashable) -> float:
         """Remove ``key`` from the heap and return its last priority.
@@ -169,91 +151,55 @@ class AddressableMaxHeap:
         Raises:
             KeyError: if ``key`` is not present.
         """
-        index = self._positions[key]
-        priority = self._slots[index].priority
-        self._remove_at(index)
+        priority = -self._entries.pop(key)[0]
+        self._compact_if_sparse()
         return priority
 
     def discard(self, key: Hashable) -> None:
         """Remove ``key`` if present; do nothing otherwise."""
-        if key in self._positions:
+        if key in self._entries:
             self.delete(key)
 
     def clear(self) -> None:
         """Remove every entry."""
-        self._slots.clear()
-        self._positions.clear()
+        self._heap.clear()
+        self._entries.clear()
 
     def items(self) -> List[Tuple[Hashable, float]]:
         """Return ``(key, priority)`` pairs in arbitrary order."""
-        return [(entry.key, entry.priority) for entry in self._slots]
+        return [(key, -entry[0]) for key, entry in self._entries.items()]
 
     # ------------------------------------------------------------------
     # internal helpers
     # ------------------------------------------------------------------
-    def _remove_at(self, index: int) -> None:
-        last = len(self._slots) - 1
-        entry = self._slots[index]
-        del self._positions[entry.key]
-        if index == last:
-            self._slots.pop()
-            return
-        moved = self._slots[last]
-        self._slots[index] = moved
-        self._positions[moved.key] = index
-        self._slots.pop()
-        # The moved entry may need to travel either direction.
-        parent = (index - 1) // 2
-        if index > 0 and moved.beats(self._slots[parent]):
-            self._sift_up(index)
-        else:
-            self._sift_down(index)
+    def _live_top(self) -> _Entry:
+        """Drop dead tuples off the top; return the live maximum."""
+        heap, entries = self._heap, self._entries
+        top = heap[0]
+        while entries.get(top[2]) is not top:
+            heapq.heappop(heap)
+            top = heap[0]
+        return top
 
-    def _sift_up(self, index: int) -> None:
-        slots = self._slots
-        entry = slots[index]
-        while index > 0:
-            parent = (index - 1) // 2
-            if entry.beats(slots[parent]):
-                slots[index] = slots[parent]
-                self._positions[slots[index].key] = index
-                index = parent
-            else:
-                break
-        slots[index] = entry
-        self._positions[entry.key] = index
-
-    def _sift_down(self, index: int) -> None:
-        slots = self._slots
-        size = len(slots)
-        entry = slots[index]
-        while True:
-            left = 2 * index + 1
-            right = left + 1
-            best = index
-            best_entry = entry
-            if left < size and slots[left].beats(best_entry):
-                best = left
-                best_entry = slots[left]
-            if right < size and slots[right].beats(best_entry):
-                best = right
-                best_entry = slots[right]
-            if best == index:
-                break
-            slots[index] = slots[best]
-            self._positions[slots[index].key] = index
-            index = best
-        slots[index] = entry
-        self._positions[entry.key] = index
+    def _compact_if_sparse(self) -> None:
+        if len(self._heap) > _SLACK * len(self._entries) + 1:
+            self._heap = list(self._entries.values())
+            heapq.heapify(self._heap)
 
     # ------------------------------------------------------------------
     # invariants (used by tests / property based checks)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` if the heap property or index map is broken."""
-        for index, entry in enumerate(self._slots):
-            assert self._positions[entry.key] == index, "position map out of sync"
-            if index > 0:
-                parent = (index - 1) // 2
-                assert not entry.beats(self._slots[parent]), "heap property violated"
-        assert len(self._positions) == len(self._slots), "dangling position entries"
+        heap = self._heap
+        for index in range(1, len(heap)):
+            assert not heap[index] < heap[(index - 1) // 2], (
+                "heap property violated"
+            )
+        listed = {id(entry) for entry in heap}
+        for key, entry in self._entries.items():
+            assert entry[2] == key, "entry map out of sync"
+            assert id(entry) in listed, "live entry missing from the heap list"
+        assert len(heap) <= _SLACK * len(self._entries) + 1, (
+            "dead entries exceed the compaction bound"
+        )

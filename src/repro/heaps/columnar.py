@@ -20,9 +20,9 @@ its (user, item) group.
   list, and an upper entry whose priority no longer matches it is stale
   and skipped;
 * **lower levels** (one :class:`~repro.heaps.binary_heap.AddressableMaxHeap`
-  per pair, keyed by time step, at most ``T`` entries) materialize lazily,
-  the first time their row surfaces at the top or one of their entries is
-  updated or discarded.
+  per pair, keyed by time step, at most ``T`` live entries, sifted by C-level
+  ``heapq`` calls) materialize lazily, the first time their row surfaces at
+  the top or one of their entries is updated or discarded.
 
 Determinism matches the incremental structure: priority ties at the upper
 level break towards the smaller row index (CSR order, i.e. seeding order),

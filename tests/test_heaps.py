@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
+from repro.heaps import binary_heap
 from repro.heaps.binary_heap import AddressableMaxHeap
 from repro.heaps.two_level import TwoLevelHeap
 
@@ -142,7 +144,6 @@ class TestAddressableMaxHeap:
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=60))
-    @settings(max_examples=50, deadline=None)
     def test_property_heap_sort_matches_sorted(self, values):
         heap = AddressableMaxHeap()
         for index, value in enumerate(values):
@@ -157,7 +158,6 @@ class TestAddressableMaxHeap:
             min_size=1, max_size=50,
         )
     )
-    @settings(max_examples=50, deadline=None)
     def test_property_push_keeps_max_consistent(self, operations):
         heap = AddressableMaxHeap()
         reference = {}
@@ -167,6 +167,102 @@ class TestAddressableMaxHeap:
             heap.check_invariants()
             _, best = heap.peek()
             assert best == pytest.approx(max(reference.values()))
+
+
+def _signed(pairs):
+    """``(key, priority)`` pairs with the priority's sign bit spelled out."""
+    return sorted((key, value, math.copysign(1.0, value)) for key, value in pairs)
+
+
+_KEYS = st.integers(min_value=0, max_value=3)
+# A few shared values make ties and p1 -> p2 -> p1 updates common; -0.0
+# and 0.0 compare equal but the one passed last must be the one stored.
+_PRIORITIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(min_value=-100, max_value=100, allow_nan=False),
+)
+# Upserts outweigh removals so dead entries pile up under a live top.
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "push", "push", "update", "update",
+                         "delete", "discard", "pop"]),
+        _KEYS, _PRIORITIES,
+    ),
+    max_size=100,
+)
+
+
+class TestLazyHeapDifferential:
+    """The lazy-deletion heap against a plain dict ordered by
+    ``(-priority, insertion order)``."""
+
+    @given(_OPERATIONS)
+    @example([("insert", 0, 0.0), ("update", 0, -0.0), ("push", 0, 0.0),
+              ("push", 0, -0.0), ("pop", 0, 0.0)])
+    @example([("insert", 0, 1.0), ("insert", 1, 1.0), ("update", 0, 2.0),
+              ("update", 0, 1.0), ("pop", 0, 0.0), ("discard", 2, 0.0),
+              ("pop", 0, 0.0)])
+    @example([("insert", 0, 50.0)] + [("push", 1, float(v)) for v in range(12)])
+    def test_matches_dict_reference(self, operations):
+        heap = AddressableMaxHeap()
+        reference = {}  # key -> (priority, insertion order)
+        inserted = 0
+
+        def best():
+            return min(reference, key=lambda k: (-reference[k][0],
+                                                  reference[k][1]))
+
+        for op, key, priority in operations:
+            if op == "insert" or (op == "push" and key not in reference):
+                if key in reference:
+                    with pytest.raises(KeyError):
+                        heap.insert(key, priority)
+                else:
+                    getattr(heap, op)(key, priority)
+                    reference[key] = (priority, inserted)
+                    inserted += 1
+            elif op in ("push", "update"):
+                if key in reference:
+                    getattr(heap, op)(key, priority)
+                    reference[key] = (priority, reference[key][1])
+                else:
+                    with pytest.raises(KeyError):
+                        heap.update(key, priority)
+            elif op == "delete":
+                if key in reference:
+                    expected = reference.pop(key)[0]
+                    assert _signed([(key, heap.delete(key))]) == _signed(
+                        [(key, expected)])
+                else:
+                    with pytest.raises(KeyError):
+                        heap.delete(key)
+            elif op == "discard":
+                heap.discard(key)
+                reference.pop(key, None)
+            elif reference:
+                top = best()
+                assert _signed([heap.pop()]) == _signed(
+                    [(top, reference.pop(top)[0])])
+            else:
+                with pytest.raises(IndexError):
+                    heap.pop()
+
+            assert len(heap) == len(reference)
+            assert bool(heap) == bool(reference)
+            assert sorted(heap.keys()) == sorted(reference)
+            assert all((k in heap) == (k in reference) for k in range(4))
+            assert _signed(heap.items()) == _signed(
+                (k, value) for k, (value, _) in reference.items())
+            if reference:
+                top = best()
+                assert _signed([heap.peek()]) == _signed(
+                    [(top, reference[top][0])])
+            else:
+                with pytest.raises(IndexError):
+                    heap.peek()
+            # Lazy deletion must not grow the list without limit.
+            assert len(heap._heap) <= binary_heap._SLACK * len(heap) + 1
+            heap.check_invariants()
 
 
 class TestTwoLevelHeap:
@@ -277,7 +373,6 @@ class TestTwoLevelHeap:
             min_size=1, max_size=40,
         )
     )
-    @settings(max_examples=50, deadline=None)
     def test_property_two_level_equals_flat(self, entries):
         """The two-level heap must order entries exactly like a flat heap."""
         two_level = TwoLevelHeap()

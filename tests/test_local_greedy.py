@@ -9,6 +9,7 @@ from repro.algorithms.local_greedy import (
     RandomizedLocalGreedy,
     SequentialLocalGreedy,
     greedy_single_step,
+    step_candidates,
 )
 from repro.core.constraints import ConstraintChecker
 from repro.core.entities import Triple
@@ -23,7 +24,8 @@ class TestGreedySingleStep:
         model = RevenueModel(small_instance)
         checker = ConstraintChecker(small_instance)
         strategy = Strategy(small_instance.catalog)
-        greedy_single_step(small_instance, model, checker, strategy, time_step=1)
+        greedy_single_step(small_instance, model, checker, strategy,
+                           step_candidates(small_instance)[1])
         assert len(strategy) > 0
         assert all(triple.t == 1 for triple in strategy)
         checker.check(strategy)
@@ -33,7 +35,8 @@ class TestGreedySingleStep:
         checker = ConstraintChecker(small_instance)
         strategy = Strategy(small_instance.catalog)
         curve = []
-        greedy_single_step(small_instance, model, checker, strategy, 0, curve)
+        greedy_single_step(small_instance, model, checker, strategy,
+                           step_candidates(small_instance)[0], curve)
         revenues = [revenue for _, revenue in curve]
         assert revenues == sorted(revenues)
         assert revenues[-1] == pytest.approx(model.revenue(strategy), rel=1e-6)
@@ -68,6 +71,47 @@ class TestSequentialLocalGreedy:
         reverse = slg.build_strategy(paper_example_instance, time_order=[1, 0])
         assert reverse.triples() == {Triple(0, 0, 1)}
         assert model.revenue(reverse) == pytest.approx(0.57)
+
+
+class TestTimeOrderValidation:
+    def test_out_of_range_step_rejected(self, small_instance):
+        order = list(range(1, small_instance.horizon + 1))
+        with pytest.raises(ValueError, match="time_order"):
+            SequentialLocalGreedy().build_strategy(small_instance, time_order=order)
+
+    def test_repeated_step_rejected(self, small_instance):
+        order = [0] + list(range(small_instance.horizon - 1))
+        with pytest.raises(ValueError, match="time_order"):
+            SequentialLocalGreedy().build_strategy(small_instance, time_order=order)
+
+
+class TestCandidateScan:
+    """Each build scans the candidate ground set once, not once per step."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch, small_instance):
+        calls = []
+        cls = type(small_instance)
+        original = cls.candidate_triples
+
+        def counting(instance):
+            calls.append(instance)
+            return original(instance)
+
+        monkeypatch.setattr(cls, "candidate_triples", counting)
+        return calls
+
+    def test_one_scan_per_sequential_build(self, small_instance, scans):
+        assert small_instance.horizon > 1
+        SequentialLocalGreedy().build_strategy(small_instance)
+        assert len(scans) == 1
+
+    def test_one_scan_per_randomized_order(self, small_instance, scans):
+        algorithm = RandomizedLocalGreedy(num_permutations=4, seed=0)
+        algorithm.build_strategy(small_instance)
+        assert len(scans) == len(algorithm._sample_permutations(
+            small_instance.horizon
+        )) == 4
 
 
 class TestRandomizedLocalGreedy:
