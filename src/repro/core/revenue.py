@@ -24,6 +24,9 @@ its ``backend`` argument: ``"python"`` runs those kernels (the executable
 specification), ``"numpy"`` gathers groups from the instance's columnar
 compilation and runs the same scalar body on small groups and the
 NumPy-vectorized kernels of :mod:`repro.core.vectorized` on large ones.
+Its batched marginals score small buckets with
+:func:`_extended_group_revenues`, which returns the scalar body's floats
+on each one-candidate extension at O(n) per candidate.
 """
 
 from __future__ import annotations
@@ -84,17 +87,29 @@ def _dynamic_probability(primitive: float, beta: float, item: int, t: int,
     not strictly earlier (no memory) and shares the target's time and item
     (no competition).  Every evaluation path -- the reference kernels below
     and the gathered fast path of :class:`RevenueModel` -- runs this one
-    body, so they agree bit for bit.
+    body, or (:func:`_extended_group_revenues`) its :func:`_memory` and
+    :func:`_survival` extended by one last term, so they agree bit for bit.
     """
     if primitive <= 0.0:
         return 0.0
     memory = _memory(times, t)
     saturation = beta ** memory if memory > 0.0 else 1.0
+    return primitive * saturation * _survival(item, t, items, times,
+                                              primitives)
+
+
+def _survival(item: int, t: int, items: Sequence[int], times: Sequence[int],
+              primitives: Sequence[float]) -> float:
+    """Definition 1's competition product over the group, in group order.
+
+    A member competes with the target when it is strictly earlier, or at
+    the same time with a different item.
+    """
     survival = 1.0
     for other_item, other_t, other_primitive in zip(items, times, primitives):
         if other_t < t or (other_t == t and other_item != item):
             survival *= 1.0 - other_primitive
-    return primitive * saturation * survival
+    return survival
 
 
 def _gathered_group_revenue(items: Sequence[int], times: Sequence[int],
@@ -108,6 +123,73 @@ def _gathered_group_revenue(items: Sequence[int], times: Sequence[int],
         total += price * _dynamic_probability(primitive, beta, item, t,
                                               items, times, primitives)
     return total
+
+
+def _extended_group_revenues(base, extensions) -> Tuple[float, List[float]]:
+    """Definition 2 of one gathered group and of each one-candidate extension.
+
+    ``base`` and ``extensions`` are gathered ``(items, times, primitives,
+    prices, betas)`` columns.  Returns the base group's revenue and, per
+    candidate, the revenue of the base group with that candidate appended
+    last: bit for bit what :func:`_gathered_group_revenue` returns on the
+    base plus the candidate, at O(n) per candidate instead of O((n+1)^2).
+
+    Each base member's memory sum, saturation and survival product are
+    computed once, in group order.  Because the candidate comes last, each
+    of the extended group's sequential sums and products is the base value
+    followed by one more term:
+
+    * a later member's memory gains ``1 / (t_k - t_c)`` and its survival
+      the factor ``1 - q_c``; a same-time member of another item gains only
+      that factor; any other member keeps its base term;
+    * the candidate's own memory and survival run over the base members in
+      group order (the candidate never counts against itself);
+    * the total adds the members' terms in group order, the candidate's
+      last.
+    """
+    items, times, primitives, _, _ = base
+    members = []
+    before = 0.0
+    for item, t, primitive, price, beta in zip(*base):
+        memory = _memory(times, t)
+        saturation = beta ** memory if memory > 0.0 else 1.0
+        survival = _survival(item, t, items, times, primitives)
+        if primitive > 0.0:
+            term = price * (primitive * saturation * survival)
+        else:
+            term = price * 0.0
+        before += term
+        members.append((t, item, primitive, price, beta, memory, saturation,
+                        survival, 1.0 - primitive, term))
+    afters = []
+    for c_item, c_t, c_primitive, c_price, c_beta in zip(*extensions):
+        c_keep = 1.0 - c_primitive
+        c_memory = 0.0
+        c_survival = 1.0
+        total = 0.0
+        for (t, item, primitive, price, beta, memory, saturation, survival,
+             keep, term) in members:
+            if t < c_t:
+                c_memory += 1.0 / (c_t - t)
+                c_survival *= keep
+            elif t > c_t:
+                if primitive > 0.0:
+                    saturation = beta ** (memory + 1.0 / (t - c_t))
+                    term = price * (primitive * saturation
+                                    * (survival * c_keep))
+            elif item != c_item:
+                c_survival *= keep
+                if primitive > 0.0:
+                    term = price * (primitive * saturation
+                                    * (survival * c_keep))
+            total += term
+        if c_primitive > 0.0:
+            c_saturation = c_beta ** c_memory if c_memory > 0.0 else 1.0
+            total += c_price * (c_primitive * c_saturation * c_survival)
+        else:
+            total += c_price * 0.0
+        afters.append(total)
+    return before, afters
 
 
 def _gather(instance: RevMaxInstance, group: Sequence[Triple]):
@@ -371,10 +453,26 @@ class RevenueModel:
         return group_dynamic_probability(self._instance, group, triple)
 
     def revenue(self, strategy: Strategy) -> float:
-        """Return ``Rev(S)`` (Definition 2)."""
+        """Return ``Rev(S)`` (Definition 2).
+
+        Under the reference semantics every group is gathered through one
+        gatherer and counted as one lookup and one evaluation, as a
+        :meth:`group_revenue` call per group would count it.  A subclass
+        that overrides the group semantics gets one :meth:`group_revenue`
+        call per group.
+        """
         total = 0.0
+        if not self._reference_semantics:
+            for _, group in strategy.groups():
+                total += self.group_revenue(group)
+            return total
+        gather = self._gatherer()
+        count = 0
         for _, group in strategy.groups():
-            total += self.group_revenue(group)
+            total += self._revenue_of(gather(group))
+            count += 1
+        self._lookups += count
+        self._evaluations += count
         return total
 
     def revenue_of_triples(self, triples: Iterable[Triple]) -> float:
@@ -397,7 +495,7 @@ class RevenueModel:
         return after - before
 
     def marginal_revenue_batch(
-        self, strategy: Strategy, triples: Sequence[Triple]
+        self, strategy: Strategy, triples: Sequence[Sequence[int]]
     ) -> List[float]:
         """Marginal revenues of many candidates against one strategy.
 
@@ -413,9 +511,16 @@ class RevenueModel:
         :class:`repro.core.selection.LazyGreedySelector` run on.
 
         Each bucket's group and candidates are gathered once (on the numpy
-        backend, one ``pair_row`` per distinct (user, item) per call), and
-        every extended group below :data:`VECTORIZE_MIN_GROUP` runs the
-        reference arithmetic on the gathered scalars.
+        backend, one ``pair_row`` per distinct (user, item) per call).  On
+        the numpy backend every bucket below the broadcast threshold runs
+        :func:`_extended_group_revenues`, which scores each candidate in
+        O(n) from the base members' memory sums and survival products and
+        returns exactly the floats of the scalar body on the extended
+        group; the python backend runs that scalar body on every
+        extension, as the executable specification.
+
+        ``triples`` may hold any ``(user, item, t)`` sequences (``Triple``,
+        plain tuples, lists); they are indexed, never converted.
 
         Counters: a batch over ``k`` not-yet-selected candidates adds exactly
         ``k`` to :attr:`lookups`; :attr:`evaluations` grows by ``k`` plus one
@@ -425,15 +530,15 @@ class RevenueModel:
         :meth:`marginal_revenue` automatically fall back to the scalar
         per-triple path, so alternative revenue semantics stay correct.
         """
-        triples = [Triple(*z) for z in triples]
         if not self._reference_semantics:
             return [self.marginal_revenue(strategy, z) for z in triples]
+        class_of = self._instance.class_of
         results = [0.0] * len(triples)
         buckets: Dict[Tuple[int, int], List[int]] = {}
         for index, triple in enumerate(triples):
             if triple in strategy:
                 continue
-            key = (triple.user, self._instance.class_of(triple.item))
+            key = (triple[0], class_of(triple[1]))
             buckets.setdefault(key, []).append(index)
         gather = self._gatherer()
         for (user, class_id), indices in buckets.items():
@@ -445,25 +550,25 @@ class RevenueModel:
             self._lookups += len(indices)
         return results
 
-    def _bucket_revenues(self, group: List[Triple], candidates: List[Triple],
+    def _bucket_revenues(self, group: List[Triple],
+                         candidates: List[Sequence[int]],
                          gather) -> Tuple[float, List[float]]:
         """"Before" and "after" revenues of one bucket, each gathered once."""
         base = gather(group)
-        before = 0.0
-        if group:
-            self._evaluations += 1
-            before = self._revenue_of(base)
-        self._evaluations += len(candidates)
         extensions = gather(candidates)
-        if self._backend == "numpy" and _batched(len(group), len(candidates)):
-            return before, vectorized_extended_group_revenues(
-                GroupArrays.from_lists(*base),
-                GroupArrays.from_lists(*extensions),
-            ).tolist()
-        # The python backend, or every extended group below
-        # VECTORIZE_MIN_GROUP: the scalar body on each extension.
+        self._evaluations += len(candidates) + (1 if group else 0)
+        if self._backend == "numpy":
+            if _batched(len(group), len(candidates)):
+                afters = vectorized_extended_group_revenues(
+                    GroupArrays.from_lists(*base),
+                    GroupArrays.from_lists(*extensions),
+                )
+                return self._revenue_of(base), afters.tolist()
+            # Every extended group below VECTORIZE_MIN_GROUP.
+            return _extended_group_revenues(base, extensions)
+        # The python backend: the literal scalar body on each extension.
         items, times, primitives, prices, betas = base
-        return before, [
+        return _gathered_group_revenue(*base), [
             _gathered_group_revenue(
                 items + [item], times + [t], primitives + [primitive],
                 prices + [price], betas + [beta],

@@ -44,7 +44,8 @@ pass, and the frontier is a :class:`repro.heaps.columnar.ColumnarFrontier`
 bulk-built from those arrays, serving ``(row, t, priority)``.  Freshness
 flags are one int per row, since a refresh re-scores every live entry of a
 row at once; a ``Triple`` exists only for a pop's constraint check,
-scoring, admission and trace record.  The python backend, ablation
+admission and trace record (a refresh scores plain ``(user, item, t)``
+tuples).  The python backend, ablation
 configurations and explicit candidate pools run the per-triple object
 loop; both loops select identical triples with identical gains (the
 columnar frontier reproduces the incremental heap's tie-breaking for the
@@ -302,8 +303,7 @@ class LazyGreedySelector:
             self._max_selections is None
             or len(strategy) < self._max_selections
         ):
-            key, priority = heap.peek()
-            triple = Triple(*key)
+            triple, priority = heap.peek()
             group = (triple.user, triple.item)
             if not self._checker.can_add(strategy, triple):
                 if self._note_blocked(strategy, triple, priority):
@@ -379,8 +379,10 @@ class LazyGreedySelector:
         * a capacity block drops the whole row, a display block its one
           ``(row, t)`` entry.
 
-        A ``Triple`` exists only for the pop's constraint check, scoring,
-        admission and trace record.
+        A ``Triple`` exists only for the pop's constraint check, admission
+        and trace record; a refresh scores plain ``(user, item, t)``
+        tuples, and the row's user and item are read as Python ints
+        (``ndarray.item``).
         """
         instance = self._instance
         compiled = instance.compiled()
@@ -397,8 +399,8 @@ class LazyGreedySelector:
         admitted = 0
         while frontier and (cap is None or len(strategy) < cap):
             row, t, priority = frontier.peek()
-            user = int(pair_user[row])
-            item = int(pair_item[row])
+            user = pair_user.item(row)
+            item = pair_item.item(row)
             triple = Triple(user, item, t)
             if not can_add(strategy, triple):
                 if self._note_blocked(strategy, triple, priority):
@@ -412,7 +414,7 @@ class LazyGreedySelector:
                     trace.record_gate(triple, priority)
                 times = frontier.times(row)
                 frontier.update(row, times, score(
-                    strategy, [Triple(user, item, s) for s in times]
+                    strategy, [(user, item, s) for s in times]
                 ))
                 flags[row] = freshness
                 continue

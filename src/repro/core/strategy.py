@@ -97,7 +97,9 @@ class Strategy:
         return len(self._triples)
 
     def __contains__(self, triple: Triple) -> bool:
-        return Triple(*triple) in self._triples
+        # A Triple hashes and compares as the plain tuple it is, so any
+        # (user, item, t) sequence is tested without building one.
+        return tuple(triple) in self._triples
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(self._triples)

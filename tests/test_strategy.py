@@ -31,6 +31,14 @@ class TestStrategyBasics:
         assert (0, 1, 2) in strategy
         assert len(strategy) == 1
 
+    def test_membership_agrees_for_every_triple_spelling(self, catalog):
+        strategy = Strategy(catalog, [Triple(0, 1, 2), (1, 2, 0)])
+        for user, item, t in [(0, 1, 2), (1, 2, 0), (0, 1, 1), (2, 0, 0)]:
+            expected = Triple(user, item, t) in strategy.triples()
+            assert ([user, item, t] in strategy) is expected
+            assert ((user, item, t) in strategy) is expected
+            assert (Triple(user, item, t) in strategy) is expected
+
     def test_add_duplicate_raises(self, catalog):
         strategy = Strategy(catalog)
         strategy.add(Triple(0, 0, 0))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core import revenue as revenue_module
 from repro.core.entities import Triple
@@ -104,7 +104,6 @@ class TestKernelEquivalence:
         assert probabilities[2] == pytest.approx((1 - a) ** 2 * a * beta ** 1.5)
 
     @given(seed=st.integers(0, 1000), size=st.integers(0, 12))
-    @settings(max_examples=40, deadline=None)
     def test_property_group_revenue_matches_python(self, seed, size):
         instance = build_random_instance(
             num_users=3, num_items=6, num_classes=2, horizon=4, seed=seed
@@ -125,7 +124,6 @@ class TestKernelEquivalence:
 
 class TestModelEquivalence:
     @given(seed=st.integers(0, 1000), size=st.integers(0, 10))
-    @settings(max_examples=40, deadline=None)
     def test_property_backends_agree(self, seed, size):
         """python- and numpy-backend revenues agree to 1e-9 (ISSUE gate)."""
         instance = build_random_instance(seed=seed)
